@@ -1,5 +1,6 @@
 #include "dtm/view_cache.hpp"
 
+#include "dtm/errors.hpp"
 #include "obs/trace.hpp"
 
 #include <algorithm>
@@ -34,29 +35,42 @@ std::optional<std::string> ViewCache::lookup(const std::string& key) {
     return it->second->second;
 }
 
+template <typename OnEvict>
+ViewCache::Admit ViewCache::admit(Shard& shard, const std::string& key,
+                                  const std::string& verdict,
+                                  OnEvict&& on_evict) {
+    const auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        if (it->second->second != verdict) {
+            // Equal keys must imply equal verdicts; overwriting would mask a
+            // soundness violation, so keep the first verdict and count it.
+            verdict_mismatches_.fetch_add(1, std::memory_order_relaxed);
+            return Admit::Mismatch;
+        }
+        return Admit::Refreshed;
+    }
+    shard.lru.emplace_front(key, verdict);
+    shard.index.emplace(shard.lru.front().first, shard.lru.begin());
+    while (shard.lru.size() > max_entries_per_shard_) {
+        const std::string& victim = shard.lru.back().first;
+        on_evict(victim);
+        shard.index.erase(victim);
+        shard.lru.pop_back();
+    }
+    return Admit::Added;
+}
+
 void ViewCache::insert(const std::string& key, const std::string& verdict) {
     Shard& shard = shard_for(key);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-        if (it->second->second != verdict) {
-            // Equal keys must imply equal verdicts; overwriting would mask a
-            // soundness violation, so keep the first verdict and surface the
-            // mismatch (fatally so in debug builds).
-            verdict_mismatches_.fetch_add(1, std::memory_order_relaxed);
-            assert(false && "ViewCache::insert: verdict mismatch for equal keys");
-        }
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        return;
-    }
-    shard.lru.emplace_front(key, verdict);
-    shard.index.emplace(key, shard.lru.begin());
-    while (shard.lru.size() > max_entries_per_shard_) {
-        shard.index.erase(shard.lru.back().first);
-        shard.lru.pop_back();
+    const Admit result = admit(shard, key, verdict, [this](const std::string&) {
         evictions_.fetch_add(1, std::memory_order_relaxed);
         obs::Tracer::instance().instant("cache", "cache.evict");
-    }
+    });
+    (void)result;
+    assert(result != Admit::Mismatch &&
+           "ViewCache::insert: verdict mismatch for equal keys");
 }
 
 ViewCacheStats ViewCache::stats() const {
@@ -107,32 +121,22 @@ ViewCache::export_entries() const {
 std::size_t ViewCache::restore(
     const std::vector<std::pair<std::string, std::string>>& entries) {
     std::size_t admitted = 0;
-    std::unordered_set<std::string> admitted_keys;
+    std::unordered_set<std::string_view> admitted_keys;
     for (const auto& [key, verdict] : entries) {
         Shard& shard = shard_for(key);
         const std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.index.find(key);
-        if (it != shard.index.end()) {
-            if (it->second->second != verdict) {
-                verdict_mismatches_.fetch_add(1, std::memory_order_relaxed);
-            }
-            shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-            continue;
-        }
-        shard.lru.emplace_front(key, verdict);
-        shard.index.emplace(key, shard.lru.begin());
-        ++admitted;
-        admitted_keys.insert(key);
-        while (shard.lru.size() > max_entries_per_shard_) {
-            // Only evictions of entries *this call* admitted cancel out of
-            // the admitted count; displacing a pre-existing LRU tail does
-            // not make the snapshot entry any less admitted.
-            const std::string& victim = shard.lru.back().first;
-            if (admitted_keys.erase(victim) > 0) {
-                --admitted;
-            }
-            shard.index.erase(victim);
-            shard.lru.pop_back();
+        // Only evictions of entries *this call* admitted cancel out of the
+        // admitted count; displacing a pre-existing LRU tail does not make
+        // the snapshot entry any less admitted.
+        const Admit result =
+            admit(shard, key, verdict, [&](const std::string& victim) {
+                if (admitted_keys.erase(victim) > 0) {
+                    --admitted;
+                }
+            });
+        if (result == Admit::Added) {
+            ++admitted;
+            admitted_keys.insert(key);
         }
     }
     return admitted;
@@ -160,6 +164,43 @@ std::vector<int> bounded_distances(const LabeledGraph& g, NodeId u, int radius) 
     return dist;
 }
 
+int view_radius(const LocalMachine& machine, const ExecutionOptions& exec) {
+    const int radius = exec.enforce_declared_bounds
+                           ? std::min(machine.round_bound(), exec.max_rounds)
+                           : exec.max_rounds;
+    return std::max(radius, 1);
+}
+
+InducedBall induced_ball(const LabeledGraph& g, const IdentifierAssignment& id,
+                         NodeId u, int radius) {
+    InducedSubgraph sub = g.neighborhood(u, radius);
+    const NodeId center = sub.from_original.at(u);
+    std::vector<BitString> ids(sub.graph.num_nodes());
+    for (NodeId s = 0; s < sub.graph.num_nodes(); ++s) {
+        ids[s] = id(sub.to_original[s]);
+    }
+    return InducedBall{std::move(sub), IdentifierAssignment(std::move(ids)),
+                       center};
+}
+
+std::optional<std::string> clean_ball_output(const LocalMachine& machine,
+                                             const InducedBall& ball,
+                                             const CertificateListAssignment& certs,
+                                             const ExecutionOptions& exec) {
+    ExecutionOptions record = exec;
+    record.on_violation = FaultPolicy::Record;
+    try {
+        ExecutionResult run =
+            run_local(machine, ball.sub.graph, ball.id, certs, record);
+        if (!run.ok() || !run.faults.empty() || !run.completed) {
+            return std::nullopt;
+        }
+        return std::move(run.outputs[ball.center]);
+    } catch (const run_error&) {
+        return std::nullopt;
+    }
+}
+
 ViewKeyBuilder::ViewKeyBuilder(const LocalMachine& machine, const LabeledGraph& g,
                                const IdentifierAssignment& id,
                                const ExecutionOptions& exec) {
@@ -179,10 +220,7 @@ ViewKeyBuilder::ViewKeyBuilder(const LocalMachine& machine, const LabeledGraph& 
     // A clean run finishes within R rounds; information (including the step
     // charges that decide per-node bound violations) travels one hop per
     // round from round 2 on.
-    radius_ = exec.enforce_declared_bounds
-                  ? std::min(machine.round_bound(), exec.max_rounds)
-                  : exec.max_rounds;
-    radius_ = std::max(radius_, 1);
+    radius_ = view_radius(machine, exec);
     cacheable_ = true;
 
     nodes_.resize(g.num_nodes());

@@ -13,6 +13,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -85,17 +86,28 @@ public:
         const std::vector<std::pair<std::string, std::string>>& entries);
 
 private:
+    using Entry = std::pair<std::string, std::string>;
     struct Shard {
         mutable std::mutex mutex;
         /// Front = most recently used.
-        std::list<std::pair<std::string, std::string>> lru;
-        std::unordered_map<std::string,
-                           std::list<std::pair<std::string, std::string>>::iterator>
-            index;
+        std::list<Entry> lru;
+        /// Keys view the strings owned by `lru` (list nodes never move), so
+        /// each key is stored once.
+        std::unordered_map<std::string_view, std::list<Entry>::iterator> index;
     };
+
+    enum class Admit { Added, Refreshed, Mismatch };
 
     static constexpr std::size_t kShards = 16;
     Shard& shard_for(const std::string& key);
+
+    /// The one insert path of insert() and restore(), under the shard lock:
+    /// an existing key moves to the MRU end and keeps its first verdict; a
+    /// new one goes in there and the LRU tail is evicted down to budget,
+    /// each victim's key passed to `on_evict` just before it is dropped.
+    template <typename OnEvict>
+    Admit admit(Shard& shard, const std::string& key,
+                const std::string& verdict, OnEvict&& on_evict);
 
     std::array<Shard, kShards> shards_;
     std::size_t max_entries_per_shard_;
@@ -110,6 +122,41 @@ private:
 /// computation (a graph edit can only change verdicts of nodes whose
 /// radius-R ball touches it — the r-locality invariant).
 std::vector<int> bounded_distances(const LabeledGraph& g, NodeId u, int radius);
+
+// --- The ball rule --------------------------------------------------------
+//
+// A LOCAL machine stops within R rounds, so a node's output depends only on
+// its radius-R view, and the induced radius-R ball preserves that view
+// (shortest paths between ball nodes stay inside the ball).  Hence a clean,
+// completed run of the machine on a node's induced ball yields exactly the
+// output the full-graph run gives that node.  The view-cache keys, the
+// compiled game core's tables, the engine's partial leaves and the serving
+// layer's dirty-ball recomputation all rest on this fact; the helpers below
+// are its one implementation.
+
+/// The effective information radius R of the machine's clean runs under
+/// `exec`: the declared round bound when enforced (capped by the max_rounds
+/// guard), otherwise the guard itself; at least 1.
+int view_radius(const LocalMachine& machine, const ExecutionOptions& exec);
+
+/// Node u's induced radius-R ball with u's identifiers carried over.
+struct InducedBall {
+    InducedSubgraph sub;
+    IdentifierAssignment id; ///< indexed by ball node
+    NodeId center = 0;       ///< u's index inside the ball
+};
+
+InducedBall induced_ball(const LabeledGraph& g, const IdentifierAssignment& id,
+                         NodeId u, int radius);
+
+/// Runs the machine on the ball (certificate lists indexed by ball node)
+/// under `exec` with FaultPolicy::Record, and returns the center's output
+/// when the run was clean and completed — then it equals the full-graph
+/// output (the ball rule above) — and nullopt otherwise.
+std::optional<std::string> clean_ball_output(const LocalMachine& machine,
+                                             const InducedBall& ball,
+                                             const CertificateListAssignment& certs,
+                                             const ExecutionOptions& exec);
 
 /// Builds the per-node cache keys for one (machine, graph, identifiers,
 /// execution options) context.

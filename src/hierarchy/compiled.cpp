@@ -127,12 +127,10 @@ CompiledGameCore::compile(const GameSpec& spec, const GameTables& tables,
         }
     }
 
-    // Fill each in-budget class by simulating the machine on the class
-    // representative's induced R-ball, one run per configuration.  The ball
-    // is attribute-identical to the representative's ball in g (shortest
-    // paths between ball nodes stay inside the ball), so by the view-cache
-    // soundness invariant a clean completed ball run yields the exact
-    // verdict the full-graph run would give the center.  Nodes on the
+    // Fill each in-budget class by running the machine on the class
+    // representative's induced R-ball, one run per configuration; a clean
+    // completed ball run yields the exact verdict the full-graph run would
+    // give the center (the ball rule, dtm/view_cache.hpp).  Nodes on the
     // distance-R boundary ring get their layer-0 options as dummy
     // certificates: their certificate content cannot reach the center
     // within R rounds, only their identifiers (which order message slots)
@@ -149,25 +147,18 @@ CompiledGameCore::compile(const GameSpec& spec, const GameTables& tables,
 
         const NodeId rep = table.representative;
         const std::vector<NodeId>& members = core->nodes_[rep].members;
-        const InducedSubgraph sub = g.neighborhood(rep, core->radius_);
-        const NodeId center = sub.from_original.at(rep);
-        const std::size_t sub_n = sub.graph.num_nodes();
+        const InducedBall ball = induced_ball(g, id, rep, core->radius_);
+        const std::size_t sub_n = ball.sub.graph.num_nodes();
 
-        std::vector<BitString> sub_ids(sub_n);
         std::vector<std::string> default_lists(sub_n);
         for (NodeId s = 0; s < sub_n; ++s) {
-            const NodeId orig = sub.to_original[s];
-            sub_ids[s] = id(orig);
+            const NodeId orig = ball.sub.to_original[s];
             std::vector<std::string> parts(layers);
             for (std::size_t l = 0; l < layers; ++l) {
                 parts[l] = tables.layer(l)[orig].front();
             }
             default_lists[s] = join_hash(parts);
         }
-        const IdentifierAssignment sub_id(std::move(sub_ids));
-
-        ExecutionOptions sim_exec = exec;
-        sim_exec.on_violation = FaultPolicy::Record;
 
         const std::uint64_t words = (table.configs + 63) / 64;
         table.known.assign(static_cast<std::size_t>(words), 0);
@@ -176,7 +167,7 @@ CompiledGameCore::compile(const GameSpec& spec, const GameTables& tables,
         for (std::uint64_t config = 0; config < table.configs; ++config) {
             std::vector<std::string> lists = default_lists;
             for (std::size_t j = 0; j < members.size(); ++j) {
-                const NodeId s = sub.from_original.at(members[j]);
+                const NodeId s = ball.sub.from_original.at(members[j]);
                 for (std::size_t l = 0; l < layers; ++l) {
                     const std::size_t flat = j * layers + l;
                     const std::uint64_t digit =
@@ -186,14 +177,14 @@ CompiledGameCore::compile(const GameSpec& spec, const GameTables& tables,
                 }
                 lists[s] = join_hash(member_parts);
             }
-            const ExecutionResult run = run_local(
-                *spec.machine, sub.graph, sub_id,
+            const std::optional<std::string> verdict = clean_ball_output(
+                *spec.machine, ball,
                 CertificateListAssignment::from_raw(std::move(lists), layers),
-                sim_exec);
-            if (run.ok() && run.faults.empty() && run.completed) {
+                exec);
+            if (verdict.has_value()) {
                 table.known[static_cast<std::size_t>(config >> 6)] |=
                     std::uint64_t{1} << (config & 63);
-                if (run.outputs[center] == "1") {
+                if (*verdict == "1") {
                     table.accept[static_cast<std::size_t>(config >> 6)] |=
                         std::uint64_t{1} << (config & 63);
                 }

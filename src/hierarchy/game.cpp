@@ -194,17 +194,6 @@ struct PackedState {
     std::vector<std::size_t> low_digits; ///< odometer scratch
 };
 
-/// One node's frozen induced radius-R ball, reused across leaves of a
-/// solve: running the machine on it reproduces the node's full-graph
-/// verdict whenever the run is clean and completed (the ball preserves the
-/// center's radius-R view — the same fact the compiled core's tables and
-/// the view-cache keys rest on).
-struct BallSim {
-    InducedSubgraph sub;
-    IdentifierAssignment id;
-    NodeId center;
-};
-
 /// Everything one worker mutates while walking its share of the game tree.
 struct WorkerContext {
     std::vector<CertificateAssignment> chosen;
@@ -274,21 +263,11 @@ public:
                 cache_ = owned_cache_.get();
             }
         }
-        if (cache_ != nullptr && options.partial_leaves) {
-            partial_ = true;
-            if (options.recompute_nodes != nullptr) {
-                for (const NodeId u : *options.recompute_nodes) {
-                    if (u < g.num_nodes()) {
-                        ball_sim_for(u);
-                    }
-                }
-            }
-        }
+        partial_ = cache_ != nullptr && options.partial_leaves;
     }
 
     GameResult run() {
         LPH_SPAN_NAMED(span, "game", "game.solve");
-        const Clock::time_point start = Clock::now();
         const ViewCacheStats cache_before =
             cache_ != nullptr ? cache_->stats() : ViewCacheStats{};
 
@@ -299,7 +278,7 @@ public:
             run_layered(result);
         }
 
-        result.stats.wall_ms = elapsed_ms(start);
+        result.stats.wall_ms = elapsed_ms(start_);
         result.stats.compile_ms = compile_ms_paid_;
         if (compiled_ != nullptr) {
             result.stats.orbit_hits = compiled_->orbit_hits();
@@ -729,77 +708,64 @@ private:
         }
     }
 
-    /// The frozen induced radius-R ball of u, built on first use and shared
-    /// by every worker for the rest of the solve (the graph and identifiers
+    /// The induced radius-R ball of u, built on first use and shared by
+    /// every worker for the rest of the solve (the graph and identifiers
     /// are solve-constant; only certificates vary per leaf).
-    std::shared_ptr<const BallSim> ball_sim_for(NodeId u) {
+    std::shared_ptr<const InducedBall> ball_for(NodeId u) {
         {
             const std::lock_guard<std::mutex> lock(ball_mutex_);
-            const auto it = ball_sims_.find(u);
-            if (it != ball_sims_.end()) {
+            const auto it = balls_.find(u);
+            if (it != balls_.end()) {
                 return it->second;
             }
         }
-        InducedSubgraph sub = g_.neighborhood(u, keys_->radius());
-        const NodeId center = sub.from_original.at(u);
-        std::vector<BitString> ids(sub.graph.num_nodes());
-        for (NodeId s = 0; s < sub.graph.num_nodes(); ++s) {
-            ids[s] = id_(sub.to_original[s]);
-        }
-        auto sim = std::make_shared<const BallSim>(BallSim{
-            std::move(sub), IdentifierAssignment(std::move(ids)), center});
+        auto ball = std::make_shared<const InducedBall>(
+            induced_ball(g_, id_, u, keys_->radius()));
         const std::lock_guard<std::mutex> lock(ball_mutex_);
-        return ball_sims_.emplace(u, std::move(sim)).first->second;
+        return balls_.emplace(u, std::move(ball)).first->second;
     }
 
     /// Attempts to finish a leaf from per-node induced-ball runs of the
     /// cache-missing nodes (ctx.miss_scratch).  Returns the leaf value when
     /// every ball run was clean and completed — then the full-graph run
-    /// would have been clean too, with identical per-node outputs, by
-    /// r-locality — and nullopt when any run was unclean or the balls cover
-    /// the whole graph anyway, demanding the ordinary full evaluation.
-    /// Clean ball verdicts are inserted under the full-graph keys, so the
-    /// next leaf touching the same views hits outright.
+    /// would have been clean too, with identical per-node outputs (the ball
+    /// rule, dtm/view_cache.hpp) — and nullopt when any run was unclean or
+    /// the balls cover the whole graph anyway, demanding the ordinary full
+    /// evaluation.  Clean ball verdicts are inserted under the full-graph
+    /// keys, so the next leaf touching the same views hits outright.
     std::optional<bool> evaluate_partial(const CertificateListAssignment& list,
                                          bool all_accept, WorkerContext& ctx) {
         std::size_t ball_total = 0;
-        std::vector<std::shared_ptr<const BallSim>> sims;
-        sims.reserve(ctx.miss_scratch.size());
+        std::vector<std::shared_ptr<const InducedBall>> balls;
+        balls.reserve(ctx.miss_scratch.size());
         for (const NodeId u : ctx.miss_scratch) {
-            sims.push_back(ball_sim_for(u));
-            ball_total += sims.back()->sub.graph.num_nodes();
+            balls.push_back(ball_for(u));
+            ball_total += balls.back()->sub.graph.num_nodes();
         }
         if (ball_total >= g_.num_nodes()) {
             return std::nullopt; // the full run is no more expensive
         }
-        ExecutionOptions sim_exec = options_.exec;
-        sim_exec.on_violation = FaultPolicy::Record;
         for (std::size_t i = 0; i < ctx.miss_scratch.size(); ++i) {
             const NodeId u = ctx.miss_scratch[i];
-            const BallSim& sim = *sims[i];
-            const std::size_t sub_n = sim.sub.graph.num_nodes();
+            const InducedBall& ball = *balls[i];
+            const std::size_t sub_n = ball.sub.graph.num_nodes();
             std::vector<std::string> lists(sub_n);
             for (NodeId s = 0; s < sub_n; ++s) {
-                lists[s] = list.at(sim.sub.to_original[s]);
+                lists[s] = list.at(ball.sub.to_original[s]);
             }
-            const auto sub_list = CertificateListAssignment::from_raw(
-                std::move(lists), spec_.layers.size());
-            try {
-                const ExecutionResult run = run_local(
-                    *spec_.machine, sim.sub.graph, sim.id, sub_list, sim_exec);
-                ++ctx.ball_runs;
-                if (!run.ok() || !run.faults.empty() || !run.completed) {
-                    return std::nullopt;
-                }
-                const std::string& verdict = run.outputs[sim.center];
-                keys_->key_for(u, list, ctx.key_scratch);
-                cache_->insert(ctx.key_scratch, verdict);
-                if (verdict != "1") {
-                    all_accept = false;
-                }
-            } catch (const run_error&) {
-                ++ctx.ball_runs;
+            ++ctx.ball_runs;
+            const std::optional<std::string> verdict = clean_ball_output(
+                *spec_.machine, ball,
+                CertificateListAssignment::from_raw(std::move(lists),
+                                                    spec_.layers.size()),
+                options_.exec);
+            if (!verdict.has_value()) {
                 return std::nullopt;
+            }
+            keys_->key_for(u, list, ctx.key_scratch);
+            cache_->insert(ctx.key_scratch, *verdict);
+            if (*verdict != "1") {
+                all_accept = false;
             }
         }
         return all_accept;
@@ -1097,6 +1063,9 @@ private:
     const LabeledGraph& g_;
     const IdentifierAssignment& id_;
     const GameOptions& options_;
+    /// Solve start: set before the constructor compiles, so wall_ms covers
+    /// the compile_ms this solve paid.
+    const Clock::time_point start_ = Clock::now();
 
     std::unique_ptr<ViewKeyBuilder> keys_;
     std::unique_ptr<ViewCache> owned_cache_;
@@ -1106,7 +1075,7 @@ private:
     // Partial-leaf state (GameOptions::partial_leaves).
     bool partial_ = false;
     std::mutex ball_mutex_;
-    std::unordered_map<NodeId, std::shared_ptr<const BallSim>> ball_sims_;
+    std::unordered_map<NodeId, std::shared_ptr<const InducedBall>> balls_;
 
     // Compiled-backend state (null / empty on the interpreted path).
     const CompiledGameCore* compiled_ = nullptr;

@@ -173,19 +173,14 @@ struct GameOptions {
     /// "Incremental serving").  When the context is cacheable, a leaf whose
     /// view-cache probe misses on some nodes re-derives just those nodes'
     /// verdicts by running the machine on their induced radius-R balls —
-    /// sound by r-locality (the ball preserves the center's radius-R view,
-    /// so a clean completed ball run reproduces the full-graph verdict) —
-    /// and merges them with the cached verdicts of the untouched region.
+    /// sound by the ball rule (dtm/view_cache.hpp: a clean completed ball
+    /// run reproduces the full-graph verdict) — and merges them with the
+    /// cached verdicts of the untouched region.
     /// Any unclean or incomplete ball run falls back to the ordinary
     /// full-graph leaf run, keeping the deterministic counters and fault
     /// ordering bit-identical to a full solve.  Interpreted backend only
     /// (the Compiled backend already evaluates per-ball).
     bool partial_leaves = false;
-
-    /// Optional node subset expected to miss the view cache (the dirty
-    /// region of a graph_patch); their ball simulations are prebuilt up
-    /// front instead of lazily on the first missing leaf.
-    const std::vector<NodeId>* recompute_nodes = nullptr;
 
     /// Optional observability session: when set, the solve accumulates its
     /// GameStats into the session's MetricsRegistry under the `game.` naming
@@ -205,7 +200,7 @@ struct GameStats {
     std::uint64_t node_cache_hits = 0;
     std::uint64_t node_cache_misses = 0;
     std::uint64_t cache_evictions = 0;
-    double wall_ms = 0;     ///< wall-clock of the whole solve
+    double wall_ms = 0;     ///< wall-clock of the whole solve, compile included
     double busy_ms = 0;     ///< summed per-worker processing time
     unsigned workers = 1;   ///< participants in the fan-out
     std::uint64_t chunks = 1;

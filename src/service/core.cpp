@@ -68,18 +68,6 @@ void append_game_result(std::ostream& body, const GameResult& result) {
     }
 }
 
-/// The effective view radius of a machine under the service's execution
-/// defaults — the R in "dirty = radius-R balls around the edit".  Must match
-/// ViewKeyBuilder's radius so the engine's partial path and the store's
-/// dirty sets agree.
-int view_radius(const LocalMachine& machine) {
-    const ExecutionOptions exec;
-    const int radius = exec.enforce_declared_bounds
-                           ? std::min(machine.round_bound(), exec.max_rounds)
-                           : exec.max_rounds;
-    return std::max(radius, 1);
-}
-
 /// The retention key of a layers-0 patch query: every field that can change
 /// the per-node outputs (backend is excluded — both backends are
 /// verdict-identical).
@@ -752,7 +740,7 @@ std::string ServiceCore::execute_patch(const Request& request,
     if (has_query) {
         game = &ctx.game(request.machine, request.layers, request.sigma);
         r_id = game->spec.machine->id_radius();
-        radius = view_radius(*game->spec.machine);
+        radius = view_radius(*game->spec.machine, ExecutionOptions{});
     }
     const std::string flavor = has_query && request.layers == 0
                                    ? decider_flavor(request)
@@ -812,7 +800,6 @@ std::string ServiceCore::execute_patch(const Request& request,
     opt.view_cache = cache_for(request.machine);
     opt.view_cache_entries = options_.view_cache_entries;
     opt.partial_leaves = true;
-    opt.recompute_nodes = &outcome.dirty;
     const GameResult result =
         play_game(game->spec, tables, outcome.graph, id, opt);
     if (!result.probe_faults.empty()) {
@@ -835,7 +822,7 @@ std::string ServiceCore::evaluate_patch_decider(const Request& request,
                                                 double deadline_ms) {
     const LabeledGraph& g = outcome.graph;
     const LocalMachine& machine = *game.spec.machine;
-    const int radius = view_radius(machine);
+    const int radius = view_radius(machine, ExecutionOptions{});
     const IdentifierAssignment id =
         identifier_scheme_by_name(request.ids, g, machine.id_radius());
 
@@ -864,28 +851,17 @@ std::string ServiceCore::evaluate_patch_decider(const Request& request,
                     outcome.retained_outputs[static_cast<std::size_t>(old)];
             }
         }
-        ExecutionOptions ball_exec;
-        ball_exec.on_violation = FaultPolicy::Record;
         for (std::size_t i = 0; i < outcome.dirty.size() && usable; ++i) {
             const NodeId v = outcome.dirty[i];
-            const InducedSubgraph sub = g.neighborhood(v, radius);
-            std::vector<BitString> sub_ids(sub.graph.num_nodes());
-            for (NodeId s = 0; s < sub.graph.num_nodes(); ++s) {
-                sub_ids[s] = id(sub.to_original[s]);
-            }
-            const IdentifierAssignment sub_id(std::move(sub_ids));
-            try {
-                const ExecutionResult run = run_local(
-                    machine, sub.graph, sub_id,
-                    CertificateListAssignment::empty(sub.graph.num_nodes()),
-                    ball_exec);
-                if (!run.ok() || !run.faults.empty() || !run.completed) {
-                    usable = false; // unclean ball: replay the full run
-                } else {
-                    outputs[v] = run.outputs[sub.from_original.at(v)];
-                }
-            } catch (const run_error&) {
-                usable = false;
+            const InducedBall ball = induced_ball(g, id, v, radius);
+            std::optional<std::string> verdict = clean_ball_output(
+                machine, ball,
+                CertificateListAssignment::empty(ball.sub.graph.num_nodes()),
+                ExecutionOptions{});
+            if (verdict.has_value()) {
+                outputs[v] = std::move(*verdict);
+            } else {
+                usable = false; // unclean ball: replay the full run
             }
         }
         incremental = usable;

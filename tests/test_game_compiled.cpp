@@ -365,5 +365,24 @@ TEST(CompiledGame, TablesCacheCompilationAcrossSolves) {
     expect_identical(first, second, "cached compilation");
 }
 
+TEST(CompiledGame, ColdSolveWallTimeIncludesItsCompile) {
+    // wall_ms is the whole solve the caller waited for, so a solve that
+    // compiles fresh tables reports at least the compile time it paid.
+    const LabeledGraph g = cycle_graph(9, "1");
+    const auto id = make_global_ids(g);
+    const ColoringVerifier verifier(2);
+    const ColorDomain domain(verifier);
+    GameSpec spec;
+    spec.machine = &verifier;
+    spec.layers = {&domain};
+    const GameTables tables(spec, g, id);
+    GameOptions compiled;
+    compiled.threads = 1;
+    compiled.backend = GameBackend::Compiled;
+    const GameResult cold = play_game(spec, tables, g, id, compiled);
+    ASSERT_GT(cold.stats.compile_ms, 0.0);
+    EXPECT_GE(cold.stats.wall_ms, cold.stats.compile_ms);
+}
+
 } // namespace
 } // namespace lph

@@ -1167,12 +1167,12 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
 }
 
 TEST(EnginePartialLeaves, MatchesFullSolveBitIdentically) {
-    // The engine boundary of incremental serving: partial_leaves with a
-    // dirty-node hint, against a shared cache warmed by the pre-patch graph,
+    // The engine boundary of incremental serving: partial_leaves against a
+    // shared cache warmed by the pre-patch graph,
     // must reproduce the verdict AND the deterministic counters of a fresh
     // full solve on the patched graph.
     // allsel gathers at radius 0 (round bound 1), so a relabel dirties only
-    // the node itself and its radius-1 ball sim stays far below the
+    // the node itself and its radius-1 ball stays far below the
     // whole-graph cost — the profitability gate keeps the partial path.
     const BuiltGame game = build_game("allsel", 1, true);
     const LabeledGraph before = cycle_graph(8, "1");
@@ -1204,7 +1204,6 @@ TEST(EnginePartialLeaves, MatchesFullSolveBitIdentically) {
     partial.threads = 1;
     partial.view_cache = &shared;
     partial.partial_leaves = true;
-    partial.recompute_nodes = &outcome.dirty;
     const GameResult incremental = play_game(game.spec, after, id, partial);
 
     GameOptions fresh;

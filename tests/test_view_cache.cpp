@@ -2,13 +2,15 @@
 // gates of ViewKeyBuilder, and — the part that must never regress — verdict
 // agreement between cache-on and cache-off runs on adversarial instances
 // built to maximize view collisions (repeated identifiers inside one graph,
-// one cache shared across different graphs).
+// one cache shared across different graphs) — plus the ball rule every
+// per-view verdict rests on.
 
 #include "dtm/faults.hpp"
 #include "dtm/view_cache.hpp"
 #include "graph/generators.hpp"
 #include "graphalg/coloring.hpp"
 #include "hierarchy/game.hpp"
+#include "machines/deciders.hpp"
 #include "machines/verifiers.hpp"
 
 #include <gtest/gtest.h>
@@ -175,6 +177,101 @@ TEST(BoundedDistances, MatchesFullBfsInsideTheBallAndCutsOffOutside) {
     const std::vector<int> self_only = bounded_distances(g, 4, 0);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
         EXPECT_EQ(self_only[v], v == 4 ? 0 : -1);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The ball rule: view_radius, induced_ball, clean_ball_output.
+// ---------------------------------------------------------------------------
+
+/// The ball's slice of a full-graph certificate list assignment.
+CertificateListAssignment ball_certs(const InducedBall& ball,
+                                     const CertificateListAssignment& certs) {
+    std::vector<std::string> lists(ball.sub.graph.num_nodes());
+    for (NodeId s = 0; s < lists.size(); ++s) {
+        lists[s] = certs.at(ball.sub.to_original[s]);
+    }
+    return CertificateListAssignment::from_raw(std::move(lists), certs.layers());
+}
+
+void expect_balls_match_full_run(const LocalMachine& machine,
+                                 const LabeledGraph& g,
+                                 const CertificateListAssignment& certs,
+                                 const std::string& what) {
+    const auto id = make_global_ids(g);
+    const ExecutionOptions exec;
+    const ExecutionResult full = run_local(machine, g, id, certs, exec);
+    ASSERT_TRUE(full.ok() && full.completed) << what;
+    const int radius = view_radius(machine, exec);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        const InducedBall ball = induced_ball(g, id, u, radius);
+        EXPECT_EQ(ball.sub.to_original.at(ball.center), u) << what;
+        const auto output =
+            clean_ball_output(machine, ball, ball_certs(ball, certs), exec);
+        ASSERT_TRUE(output.has_value()) << what << " node " << u;
+        EXPECT_EQ(*output, full.outputs[u]) << what << " node " << u;
+    }
+}
+
+TEST(BallRule, CleanBallOutputEqualsTheFullRunAtEveryNode) {
+    Rng rng(11);
+    const std::vector<std::pair<std::string, LabeledGraph>> graphs = {
+        {"cycle", cycle_graph(9, "1")},
+        {"wheel", wheel_graph(7, "1")},
+        {"random", random_connected_graph(12, 5, rng, "1")},
+    };
+    const EulerianDecider eulerian;
+    const ColoringVerifier coloring(3);
+    for (const auto& [name, g] : graphs) {
+        expect_balls_match_full_run(
+            eulerian, g, CertificateListAssignment::empty(g.num_nodes()),
+            name + " eulerian");
+        // Random colors: a mix of accepting and rejecting nodes.
+        std::vector<BitString> colors(g.num_nodes());
+        for (BitString& c : colors) {
+            c = coloring.encode_color(static_cast<int>(rng.index(3)));
+        }
+        expect_balls_match_full_run(
+            coloring, g,
+            CertificateListAssignment::concatenate(
+                {CertificateAssignment(colors)}, g.num_nodes()),
+            name + " 3-coloring");
+    }
+}
+
+TEST(BallRule, MalformedCertificateMakesTheBallUnclean) {
+    const LabeledGraph g = cycle_graph(9, "1");
+    const auto id = make_global_ids(g);
+    const ColoringVerifier coloring(3);
+    ExecutionOptions exec;
+    exec.validate_certificates = true;
+    const InducedBall ball =
+        induced_ball(g, id, 0, view_radius(coloring, exec));
+    std::vector<std::string> lists(ball.sub.graph.num_nodes(),
+                                   coloring.encode_color(0));
+    lists[ball.center] = "2"; // a byte outside {0,1,#}
+    EXPECT_FALSE(clean_ball_output(
+                     coloring, ball,
+                     CertificateListAssignment::from_raw(std::move(lists), 1),
+                     exec)
+                     .has_value());
+}
+
+TEST(BallRule, ViewRadiusIsTheKeyBuilderRadius) {
+    const LabeledGraph g = cycle_graph(8, "1");
+    const auto id = make_global_ids(g);
+    const EulerianDecider eulerian;
+    const ColoringVerifier coloring(2);
+    ExecutionOptions loose;
+    loose.enforce_declared_bounds = false;
+    loose.max_rounds = 5;
+    for (const ExecutionOptions& exec : {ExecutionOptions{}, loose}) {
+        for (const LocalMachine* machine :
+             {static_cast<const LocalMachine*>(&eulerian),
+              static_cast<const LocalMachine*>(&coloring)}) {
+            EXPECT_EQ(view_radius(*machine, exec),
+                      ViewKeyBuilder(*machine, g, id, exec).radius());
+        }
     }
 }
 
