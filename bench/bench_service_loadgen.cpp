@@ -9,6 +9,7 @@
 // same ServiceStats/ResultMemoStats/ViewCacheStats lists `lphd --metrics=`
 // exports — one schema across the daemon and the bench.
 
+#include "graph/generators.hpp"
 #include "graph/serialize.hpp"
 #include "obs/log_histogram.hpp"
 #include "obs/metrics.hpp"
@@ -37,32 +38,26 @@ std::uint64_t mix(std::uint64_t& state) {
     return z ^ (z >> 31);
 }
 
-std::string cycle_graph(int n) {
-    std::ostringstream g;
-    g << "graph " << n << "\\n";
-    for (int u = 0; u < n; ++u) {
-        g << "edge " << u << " " << (u + 1) % n << "\\n";
-    }
-    return g.str();
+/// An unlabelled graph's wire payload: its canonical text, JSON-escaped.
+std::string payload(const LabeledGraph& g) {
+    return obs::json_escape(graph_to_text(g));
 }
 
-std::string path_graph(int n) {
-    std::ostringstream g;
-    g << "graph " << n << "\\n";
-    for (int u = 0; u + 1 < n; ++u) {
-        g << "edge " << u << " " << u + 1 << "\\n";
+/// The small pool the mixed workloads draw from: cycles and paths on 5-7
+/// nodes.
+std::vector<std::string> graph_pool() {
+    std::vector<std::string> graphs;
+    for (std::size_t n = 5; n <= 7; ++n) {
+        graphs.push_back(payload(cycle_graph(n, "")));
+        graphs.push_back(payload(path_graph(n, "")));
     }
-    return g.str();
+    return graphs;
 }
 
 /// A shared-graph workload: many requests over a small graph pool, built by
 /// parsing real wire lines so the bench exercises the same path as lphd.
 std::vector<Request> make_workload(std::size_t count, std::uint64_t seed) {
-    std::vector<std::string> graphs;
-    for (int n = 5; n <= 7; ++n) {
-        graphs.push_back(cycle_graph(n));
-        graphs.push_back(path_graph(n));
-    }
+    const std::vector<std::string> graphs = graph_pool();
     const std::vector<std::string> machines = {"allsel", "eulerian",
                                                "coloring2", "coloring3"};
     const std::vector<std::string> problems = {"eulerian", "coloring",
@@ -402,10 +397,9 @@ void BM_PatchStorm(benchmark::State& state) {
     WireLimits limits;
     limits.max_graph_nodes = 512; // the default 256 is sized for lphd lines
 
-    Request reg = parse_request(
-        "{\"type\":\"graph_register\",\"graph\":\"" + cycle_graph(kNodes) +
-            "\"}",
-        1, limits);
+    Request reg = parse_request("{\"type\":\"graph_register\",\"graph\":\"" +
+                                    payload(cycle_graph(kNodes, "")) + "\"}",
+                                1, limits);
 
     // Pre-build the whole chain: every digest the patches reference is
     // mirrored locally (fnv1a64 over graph_to_text, the wire's own scheme),
@@ -439,15 +433,8 @@ void BM_PatchStorm(benchmark::State& state) {
         std::ostringstream twin;
         twin << "{\"type\":\"game\",\"id\":" << k
              << ",\"machine\":\"eulerian\",\"layers\":0,\"sigma\":true,"
-             << "\"ids\":\"global\",\"graph\":\"";
-        for (const char c : canonical) {
-            if (c == '\n') {
-                twin << "\\n";
-            } else {
-                twin << c;
-            }
-        }
-        twin << "\"}";
+             << "\"ids\":\"global\",\"graph\":\""
+             << obs::json_escape(canonical) << "\"}";
         full_twins.push_back(parse_request(twin.str(), k + 2, limits));
     }
 
@@ -558,17 +545,13 @@ struct MixedWorkload {
 };
 
 MixedWorkload make_admission_mixed(std::size_t count, std::uint64_t seed) {
-    std::vector<std::string> graphs;
-    for (int n = 5; n <= 7; ++n) {
-        graphs.push_back(cycle_graph(n));
-        graphs.push_back(path_graph(n));
-    }
+    const std::vector<std::string> graphs = graph_pool();
     // Distinct bodies so the big jobs never share a memo slot; each is a
     // full-enumeration forall chain (no short-circuit) over a 7-node graph.
     const std::vector<std::string> big_bodies = {
         "(a = a | O1(b))", "(b = b | O1(a))", "(c = c | O1(a))",
         "(d = d | O1(a))", "(e = e | O1(a))", "(f = f | O1(a))"};
-    const std::string big_graph = cycle_graph(7);
+    const std::string big_graph = payload(cycle_graph(7, ""));
 
     const WireLimits limits;
     MixedWorkload workload;

@@ -52,6 +52,7 @@
 //
 // Exit status: 0 ok; 1 verification failure or connection error; 2 usage.
 
+#include "graph/generators.hpp"
 #include "graph/serialize.hpp"
 #include "obs/log_histogram.hpp"
 #include "obs/metrics.hpp"
@@ -177,51 +178,45 @@ std::uint64_t mix(std::uint64_t& state) {
     return z ^ (z >> 31);
 }
 
-std::string cycle_graph(int n, bool label_ones) {
-    std::ostringstream g;
-    g << "graph " << n << "\n";
-    if (label_ones) {
-        for (int u = 0; u < n; ++u) {
-            g << "label " << u << " 1\n";
-        }
+/// The seeded graph pool --generate and --formula draw from: small graphs,
+/// so they repeat — repeats are what exercise micro-batching and the
+/// cross-request memo.  Unlabelled graphs carry the empty label, which the
+/// canonical text omits.
+std::vector<LabeledGraph> graph_pool() {
+    std::vector<LabeledGraph> graphs;
+    for (std::size_t n = 4; n <= 7; ++n) {
+        graphs.push_back(cycle_graph(n, ""));
+        graphs.push_back(path_graph(n, ""));
     }
-    for (int u = 0; u < n; ++u) {
-        g << "edge " << u << " " << (u + 1) % n << "\n";
-    }
-    return g.str();
+    graphs.push_back(cycle_graph(6, "1"));
+    graphs.push_back(complete_graph(4, ""));
+    return graphs;
 }
 
-std::string path_graph(int n) {
-    std::ostringstream g;
-    g << "graph " << n << "\n";
-    for (int u = 0; u + 1 < n; ++u) {
-        g << "edge " << u << " " << u + 1 << "\n";
-    }
-    return g.str();
+service::Request make_request(service::RequestType type, long id) {
+    service::Request request;
+    request.type = type;
+    request.id = std::to_string(id);
+    return request;
 }
 
-std::string complete_graph(int n) {
-    std::ostringstream g;
-    g << "graph " << n << "\n";
-    for (int u = 0; u < n; ++u) {
-        for (int v = u + 1; v < n; ++v) {
-            g << "edge " << u << " " << v << "\n";
-        }
-    }
-    return g.str();
+void attach_graph(service::Request& request, const LabeledGraph& g) {
+    request.has_graph = true;
+    request.graph = g;
+    request.canonical_graph = graph_to_text(g);
+}
+
+/// The query fields every game and graph_patch line of --patch carries.
+void set_query(service::Request& request, const std::string& machine,
+               int layers, const std::string& ids) {
+    request.machine = machine;
+    request.layers = layers;
+    request.sigma = true;
+    request.ids = ids;
 }
 
 int generate(long count, std::uint64_t seed) {
-    // A small pool so graphs repeat: repeats are what exercise micro-batching
-    // and the cross-request memo.
-    std::vector<std::string> graphs;
-    for (int n = 4; n <= 7; ++n) {
-        graphs.push_back(cycle_graph(n, false));
-        graphs.push_back(path_graph(n));
-    }
-    graphs.push_back(cycle_graph(6, true));
-    graphs.push_back(complete_graph(4));
-
+    const std::vector<LabeledGraph> graphs = graph_pool();
     const std::vector<std::string> machines = {"allsel", "eulerian",
                                                "coloring2", "coloring3"};
     // Formulas that stay inside the model checker's SO-universe guard at
@@ -233,57 +228,53 @@ int generate(long count, std::uint64_t seed) {
     const std::vector<std::string> problems = {"eulerian", "coloring",
                                                "hamiltonian"};
 
+    using service::RequestType;
     std::uint64_t state = seed;
     for (long i = 0; i < count; ++i) {
-        const std::string& graph =
-            graphs[mix(state) % graphs.size()];
-        const std::string payload = obs::json_escape(graph);
-        std::ostringstream line;
+        const LabeledGraph& graph = graphs[mix(state) % graphs.size()];
+        service::Request request;
         switch (mix(state) % 16) {
         case 0:
-            line << "{\"type\":\"stats\",\"id\":" << i << "}";
+            request = make_request(RequestType::Stats, i);
             break;
         case 1:
-            line << "{\"type\":\"health\",\"id\":" << i << "}";
+            request = make_request(RequestType::Health, i);
             break;
         case 2:
-            line << "{\"type\":\"oracle_check\",\"id\":" << i
-                 << ",\"check\":\"eulerian-vs-bruteforce\",\"seed\":"
-                 << (1 + mix(state) % 3) << ",\"instances\":5}";
+            request = make_request(RequestType::OracleCheck, i);
+            request.oracle_check = "eulerian-vs-bruteforce";
+            request.seed = 1 + mix(state) % 3;
+            request.instances = 5;
             break;
         case 3:
         case 4:
         case 5:
-        {
-            const std::string& formula = formulas[mix(state) % formulas.size()];
-            line << "{\"type\":\"logic\",\"id\":" << i << ",\"formula\":\""
-                 << formula << "\"";
-            if (formula == "random") {
-                line << ",\"fseed\":" << mix(state) % 64;
+            request = make_request(RequestType::Logic, i);
+            request.formula = formulas[mix(state) % formulas.size()];
+            if (request.formula == "random") {
+                request.fseed = mix(state) % 64;
             }
-            line << ",\"graph\":\"" << payload << "\"}";
+            attach_graph(request, graph);
             break;
-        }
         case 6:
         case 7:
         case 8:
-            line << "{\"type\":\"decide\",\"id\":" << i << ",\"problem\":\""
-                 << problems[mix(state) % problems.size()]
-                 << "\",\"k\":" << (2 + mix(state) % 3) << ",\"graph\":\""
-                 << payload << "\"}";
+            request = make_request(RequestType::Decide, i);
+            request.problem = problems[mix(state) % problems.size()];
+            request.k = static_cast<int>(2 + mix(state) % 3);
+            attach_graph(request, graph);
             break;
         default: {
+            request = make_request(RequestType::Game, i);
             const std::string& machine = machines[mix(state) % machines.size()];
             const bool decider = machine == "allsel" || machine == "eulerian";
-            line << "{\"type\":\"game\",\"id\":" << i << ",\"machine\":\""
-                 << machine << "\",\"layers\":" << (decider ? 0 : 1)
-                 << ",\"sigma\":true,\"ids\":\""
-                 << (mix(state) % 2 ? "global" : "local") << "\",\"graph\":\""
-                 << payload << "\"}";
+            set_query(request, machine, decider ? 0 : 1,
+                      mix(state) % 2 ? "global" : "local");
+            attach_graph(request, graph);
             break;
         }
         }
-        std::cout << line.str() << "\n";
+        std::cout << request.to_json() << "\n";
     }
     return 0;
 }
@@ -293,21 +284,13 @@ int generate(long count, std::uint64_t seed) {
 /// classify, price, evaluate — so a syntax error comes back as one
 /// ProtocolError line with the frontend's line/column, not a client crash.
 int generate_eval(const std::string& formula, long count, std::uint64_t seed) {
-    std::vector<std::string> graphs;
-    for (int n = 4; n <= 7; ++n) {
-        graphs.push_back(cycle_graph(n, false));
-        graphs.push_back(path_graph(n));
-    }
-    graphs.push_back(cycle_graph(6, true));
-    graphs.push_back(complete_graph(4));
-
-    const std::string escaped = obs::json_escape(formula);
+    const std::vector<LabeledGraph> graphs = graph_pool();
     std::uint64_t state = seed;
     for (long i = 0; i < count; ++i) {
-        const std::string& graph = graphs[mix(state) % graphs.size()];
-        std::cout << "{\"type\":\"eval\",\"id\":" << i << ",\"formula\":\""
-                  << escaped << "\",\"graph\":\"" << obs::json_escape(graph)
-                  << "\"}\n";
+        service::Request request = make_request(service::RequestType::Eval, i);
+        request.eval_text = formula;
+        attach_graph(request, graphs[mix(state) % graphs.size()]);
+        std::cout << request.to_json() << "\n";
     }
     return 0;
 }
@@ -330,34 +313,6 @@ std::string read_formula_file(const std::string& path) {
     return text;
 }
 
-std::string render_ops(const std::vector<service::PatchOp>& ops) {
-    std::ostringstream out;
-    out << '[';
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const service::PatchOp& op = ops[i];
-        out << (i ? "," : "") << "{\"op\":\"" << service::to_string(op.kind)
-            << '"';
-        switch (op.kind) {
-        case service::PatchOp::Kind::AddEdge:
-        case service::PatchOp::Kind::RemoveEdge:
-            out << ",\"u\":" << op.u << ",\"v\":" << op.v;
-            break;
-        case service::PatchOp::Kind::Relabel:
-            out << ",\"u\":" << op.u << ",\"label\":\"" << op.label << '"';
-            break;
-        case service::PatchOp::Kind::AddNode:
-            out << ",\"label\":\"" << op.label << '"';
-            break;
-        case service::PatchOp::Kind::RemoveNode:
-            out << ",\"u\":" << op.u;
-            break;
-        }
-        out << '}';
-    }
-    out << ']';
-    return out.str();
-}
-
 /// The seeded incremental-serving workload (and its full-recompute golden
 /// twin).  Both modes walk the identical op sequence over a client-side
 /// mirror of the resident graph; the digests the server will echo are
@@ -372,19 +327,14 @@ int generate_patch(long count, std::uint64_t seed, bool golden) {
     // deciders are linear and dominate the mix.
     constexpr NodeId kBase = 10; // cycle nodes; chords stay inside the cycle
     constexpr std::size_t kMaxGrown = 2;
-    LabeledGraph mirror;
-    for (NodeId u = 0; u < kBase; ++u) {
-        mirror.add_node("1");
-    }
-    for (NodeId u = 0; u < kBase; ++u) {
-        mirror.add_edge(u, (u + 1) % kBase);
-    }
-    std::string canonical = graph_to_text(mirror);
-    std::uint64_t digest = service::fnv1a64(canonical);
+    LabeledGraph mirror = cycle_graph(kBase, "1");
+    std::uint64_t digest = service::fnv1a64(graph_to_text(mirror));
 
     if (!golden) {
-        std::cout << "{\"type\":\"graph_register\",\"id\":0,\"graph\":\""
-                  << obs::json_escape(canonical) << "\"}\n";
+        service::Request reg =
+            make_request(service::RequestType::GraphRegister, 0);
+        attach_graph(reg, mirror);
+        std::cout << reg.to_json() << "\n";
     }
 
     std::vector<NodeId> grown_anchor; // anchor of each grown node, LIFO
@@ -463,28 +413,22 @@ int generate_patch(long count, std::uint64_t seed, bool golden) {
             service::apply_patch_op(mirror, op);
         }
         if (!ops.empty()) {
-            canonical = graph_to_text(mirror);
-            digest = service::fnv1a64(canonical);
+            digest = service::fnv1a64(graph_to_text(mirror));
         }
 
-        std::ostringstream line;
+        using service::RequestType;
+        service::Request request = make_request(
+            plain_query || golden ? RequestType::Game : RequestType::GraphPatch,
+            i);
+        set_query(request, machine, layers, "global");
         if (golden) {
-            line << "{\"type\":\"game\",\"id\":" << i << ",\"machine\":\""
-                 << machine << "\",\"layers\":" << layers
-                 << ",\"sigma\":true,\"ids\":\"global\",\"graph\":\""
-                 << obs::json_escape(canonical) << "\"}";
-        } else if (plain_query) {
-            line << "{\"type\":\"game\",\"id\":" << i << ",\"machine\":\""
-                 << machine << "\",\"layers\":" << layers
-                 << ",\"sigma\":true,\"ids\":\"global\",\"digest\":\"" << ref
-                 << "\"}";
+            attach_graph(request, mirror);
         } else {
-            line << "{\"type\":\"graph_patch\",\"id\":" << i
-                 << ",\"digest\":\"" << ref << "\",\"ops\":" << render_ops(ops)
-                 << ",\"machine\":\"" << machine << "\",\"layers\":" << layers
-                 << ",\"sigma\":true,\"ids\":\"global\"}";
+            request.has_ref_digest = true;
+            request.ref_digest = ref;
+            request.ops = std::move(ops);
         }
-        std::cout << line.str() << "\n";
+        std::cout << request.to_json() << "\n";
     }
     return 0;
 }
