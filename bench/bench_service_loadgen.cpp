@@ -9,6 +9,7 @@
 // same ServiceStats/ResultMemoStats/ViewCacheStats lists `lphd --metrics=`
 // exports — one schema across the daemon and the bench.
 
+#include "core/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/serialize.hpp"
 #include "obs/log_histogram.hpp"
@@ -29,14 +30,6 @@ namespace {
 
 using namespace lph;
 using namespace lph::service;
-
-std::uint64_t mix(std::uint64_t& state) {
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4568bull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 /// An unlabelled graph's wire payload: its canonical text, JSON-escaped.
 std::string payload(const LabeledGraph& g) {
@@ -68,13 +61,13 @@ std::vector<Request> make_workload(std::size_t count, std::uint64_t seed) {
     requests.reserve(count);
     std::uint64_t state = seed;
     for (std::size_t i = 0; i < count; ++i) {
-        const std::string& graph = graphs[mix(state) % graphs.size()];
+        const std::string& graph = graphs[splitmix64_next(state) % graphs.size()];
         std::ostringstream line;
-        switch (mix(state) % 8) {
+        switch (splitmix64_next(state) % 8) {
         case 0:
         case 1:
             line << "{\"type\":\"decide\",\"id\":" << i << ",\"problem\":\""
-                 << problems[mix(state) % problems.size()]
+                 << problems[splitmix64_next(state) % problems.size()]
                  << "\",\"k\":3,\"graph\":\"" << graph << "\"}";
             break;
         case 2:
@@ -83,7 +76,8 @@ std::vector<Request> make_workload(std::size_t count, std::uint64_t seed) {
                  << "\"}";
             break;
         default: {
-            const std::string& machine = machines[mix(state) % machines.size()];
+            const std::string& machine =
+                machines[splitmix64_next(state) % machines.size()];
             const bool decider = machine == "allsel" || machine == "eulerian";
             line << "{\"type\":\"game\",\"id\":" << i << ",\"machine\":\""
                  << machine << "\",\"layers\":" << (decider ? 0 : 1)
@@ -353,7 +347,7 @@ void BM_RetryReplayOverhead(benchmark::State& state) {
     std::uint64_t replay_state = 77;
     for (int k = 0; k < 96; ++k) {
         with_replays.push_back(
-            workload[mix(replay_state) % workload.size()]);
+            workload[splitmix64_next(replay_state) % workload.size()]);
     }
     for (auto _ : state) {
         const LoadResult base = run_load(workload, batched_options());
@@ -558,7 +552,7 @@ MixedWorkload make_admission_mixed(std::size_t count, std::uint64_t seed) {
     std::uint64_t state = seed;
     std::size_t big = 0;
     for (std::size_t i = 0; i < count; ++i) {
-        const std::string& graph = graphs[mix(state) % graphs.size()];
+        const std::string& graph = graphs[splitmix64_next(state) % graphs.size()];
         std::ostringstream line;
         bool is_big = false;
         if (i % 48 == 47) {
@@ -569,7 +563,7 @@ MixedWorkload make_admission_mixed(std::size_t count, std::uint64_t seed) {
                  << big_bodies[big++ % big_bodies.size()]
                  << "\",\"graph\":\"" << big_graph << "\"}";
         } else {
-            switch (mix(state) % 4) {
+            switch (splitmix64_next(state) % 4) {
             case 0:
                 line << "{\"type\":\"decide\",\"id\":" << i
                      << ",\"problem\":\"eulerian\",\"graph\":\"" << graph
@@ -582,7 +576,7 @@ MixedWorkload make_admission_mixed(std::size_t count, std::uint64_t seed) {
                 break;
             default:
                 line << "{\"type\":\"game\",\"id\":" << i << ",\"machine\":\""
-                     << (mix(state) % 2 ? "allsel" : "eulerian")
+                     << (splitmix64_next(state) % 2 ? "allsel" : "eulerian")
                      << "\",\"layers\":0,\"graph\":\"" << graph << "\"}";
                 break;
             }

@@ -7,6 +7,30 @@
 
 namespace lph {
 
+/// splitmix64's Weyl-sequence increment: 2^64 divided by the golden ratio,
+/// rounded to odd.
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+/// Stateless splitmix64: the output a generator in state `x` produces next
+/// (advance by the gamma, then the variant-13 avalanche mix).  A pure,
+/// bijective hash — the fault, chaos and backoff streams are nested calls
+/// of it over (seed, channel, index) tuples, so no stream is shared.
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+    std::uint64_t z = x + kSplitMix64Gamma;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/// Stateful splitmix64: advances `state` and returns the next output.
+/// From state 0 the first draws are 0xe220a8397b1dcdaf,
+/// 0x6e789e6aa1b965f4, 0x06c45d188009454f.
+inline std::uint64_t splitmix64_next(std::uint64_t& state) {
+    const std::uint64_t out = splitmix64(state);
+    state += kSplitMix64Gamma;
+    return out;
+}
+
 /// Deterministic pseudo-random source used by generators and benchmarks.
 ///
 /// Everything in this library that is randomized takes an explicit Rng so

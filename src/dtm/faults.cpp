@@ -1,5 +1,7 @@
 #include "dtm/faults.hpp"
 
+#include "core/rng.hpp"
+
 #include <algorithm>
 #include <numeric>
 
@@ -7,18 +9,11 @@ namespace lph {
 
 namespace {
 
-/// splitmix64 finalizer: the standard 64-bit avalanche mix.
-std::uint64_t mix(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 /// Pure decision value for one (seed, kind, a, b, c) tuple.
 std::uint64_t decide(std::uint64_t seed, std::uint64_t kind, std::uint64_t a,
                      std::uint64_t b, std::uint64_t c) {
-    return mix(mix(mix(mix(seed ^ kind) ^ a) ^ b) ^ c);
+    return splitmix64(splitmix64(splitmix64(splitmix64(seed ^ kind) ^ a) ^ b) ^
+                      c);
 }
 
 /// Maps a decision value to [0,1) and compares against the probability.

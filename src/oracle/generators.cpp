@@ -233,11 +233,8 @@ Formula random_sentence(Rng& rng, const FormulaGenOptions& opt) {
 }
 
 std::uint64_t instance_seed(std::uint64_t corpus_seed, std::uint64_t index) {
-    // splitmix64 finalizer over the pair.
-    std::uint64_t z = corpus_seed + 0x9e3779b97f4a7c15ull * (index + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    // The index-th draw of a splitmix64 stream started at corpus_seed.
+    return splitmix64(corpus_seed + kSplitMix64Gamma * index);
 }
 
 } // namespace lph

@@ -1,24 +1,18 @@
 #include "service/chaos.hpp"
 
+#include "core/rng.hpp"
+
 namespace lph {
 namespace service {
 
 namespace {
 
-/// splitmix64 finalizer: the standard 64-bit avalanche mix (same shape as
-/// the engine's FaultInjector, so one seeding convention covers both
-/// adversaries).
-std::uint64_t mix(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-/// Pure decision value for one (seed, channel, index) tuple.
+/// Pure decision value for one (seed, channel, index) tuple — the same
+/// splitmix64 nesting as the engine's FaultInjector, so one seeding
+/// convention covers both adversaries.
 std::uint64_t decide(std::uint64_t seed, std::uint64_t channel,
                      std::uint64_t index) {
-    return mix(mix(seed ^ channel) ^ index);
+    return splitmix64(splitmix64(seed ^ channel) ^ index);
 }
 
 bool chance(std::uint64_t h, double p) {

@@ -1,20 +1,11 @@
 #include "service/retry.hpp"
 
+#include "core/rng.hpp"
+
 #include <algorithm>
 
 namespace lph {
 namespace service {
-
-namespace {
-
-std::uint64_t mix(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 double backoff_delay_ms(const RetryPolicy& policy, std::uint64_t request_index,
                         int attempt) {
@@ -27,9 +18,10 @@ double backoff_delay_ms(const RetryPolicy& policy, std::uint64_t request_index,
     if (ceiling <= 0) {
         return 0;
     }
-    const std::uint64_t h = mix(mix(policy.seed ^ 0xbac0ffULL) ^
-                                mix(request_index * 31 +
-                                    static_cast<std::uint64_t>(attempt)));
+    const std::uint64_t h =
+        splitmix64(splitmix64(policy.seed ^ 0xbac0ffULL) ^
+                   splitmix64(request_index * 31 +
+                              static_cast<std::uint64_t>(attempt)));
     return static_cast<double>(h >> 11) * 0x1.0p-53 * ceiling;
 }
 

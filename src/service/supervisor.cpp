@@ -1,22 +1,12 @@
 #include "service/supervisor.hpp"
 
 #include "core/check.hpp"
+#include "core/rng.hpp"
 
 #include <algorithm>
 
 namespace lph {
 namespace service {
-
-namespace {
-
-std::uint64_t mix(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 SupervisorLedger::SupervisorLedger(std::size_t workers, RestartPolicy policy)
     : policy_(policy), slots_(workers) {
@@ -71,9 +61,9 @@ double SupervisorLedger::backoff_ms(const Slot& slot) const {
     // Jitter in [0.5, 1.5): desynchronizes a pool that crashed together
     // without ever collapsing the delay to zero.
     const std::uint64_t h =
-        mix(mix(policy_.jitter_seed ^ 0x5afe) ^
-            (slot.generation * 131 +
-             static_cast<std::uint64_t>(slot.consecutive_crashes)));
+        splitmix64(splitmix64(policy_.jitter_seed ^ 0x5afe) ^
+                   (slot.generation * 131 +
+                    static_cast<std::uint64_t>(slot.consecutive_crashes)));
     const double jitter = 0.5 + static_cast<double>(h >> 11) * 0x1.0p-53;
     return ceiling * jitter;
 }

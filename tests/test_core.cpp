@@ -98,6 +98,17 @@ TEST(Rng, Deterministic) {
     }
 }
 
+TEST(SplitMix64, KnownAnswerFromStateZero) {
+    std::uint64_t state = 0;
+    EXPECT_EQ(splitmix64_next(state), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(splitmix64_next(state), 0x6e789e6aa1b965f4ULL);
+    EXPECT_EQ(splitmix64_next(state), 0x06c45d188009454fULL);
+    EXPECT_EQ(state, 3 * kSplitMix64Gamma);
+    // The stateless form is the draw from a given state.
+    EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafULL);
+    EXPECT_EQ(splitmix64(kSplitMix64Gamma), 0x6e789e6aa1b965f4ULL);
+}
+
 TEST(Rng, UniformInRange) {
     Rng rng(7);
     for (int i = 0; i < 1000; ++i) {

@@ -52,6 +52,7 @@
 //
 // Exit status: 0 ok; 1 verification failure or connection error; 2 usage.
 
+#include "core/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/serialize.hpp"
 #include "obs/log_histogram.hpp"
@@ -169,15 +170,6 @@ Options parse_args(int argc, char** argv) {
     return opt;
 }
 
-/// Deterministic splitmix64 so the workload is identical across platforms.
-std::uint64_t mix(std::uint64_t& state) {
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4568bull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 /// The seeded graph pool --generate and --formula draw from: small graphs,
 /// so they repeat — repeats are what exercise micro-batching and the
 /// cross-request memo.  Unlabelled graphs carry the empty label, which the
@@ -231,9 +223,9 @@ int generate(long count, std::uint64_t seed) {
     using service::RequestType;
     std::uint64_t state = seed;
     for (long i = 0; i < count; ++i) {
-        const LabeledGraph& graph = graphs[mix(state) % graphs.size()];
+        const LabeledGraph& graph = graphs[splitmix64_next(state) % graphs.size()];
         service::Request request;
-        switch (mix(state) % 16) {
+        switch (splitmix64_next(state) % 16) {
         case 0:
             request = make_request(RequestType::Stats, i);
             break;
@@ -243,16 +235,16 @@ int generate(long count, std::uint64_t seed) {
         case 2:
             request = make_request(RequestType::OracleCheck, i);
             request.oracle_check = "eulerian-vs-bruteforce";
-            request.seed = 1 + mix(state) % 3;
+            request.seed = 1 + splitmix64_next(state) % 3;
             request.instances = 5;
             break;
         case 3:
         case 4:
         case 5:
             request = make_request(RequestType::Logic, i);
-            request.formula = formulas[mix(state) % formulas.size()];
+            request.formula = formulas[splitmix64_next(state) % formulas.size()];
             if (request.formula == "random") {
-                request.fseed = mix(state) % 64;
+                request.fseed = splitmix64_next(state) % 64;
             }
             attach_graph(request, graph);
             break;
@@ -260,16 +252,17 @@ int generate(long count, std::uint64_t seed) {
         case 7:
         case 8:
             request = make_request(RequestType::Decide, i);
-            request.problem = problems[mix(state) % problems.size()];
-            request.k = static_cast<int>(2 + mix(state) % 3);
+            request.problem = problems[splitmix64_next(state) % problems.size()];
+            request.k = static_cast<int>(2 + splitmix64_next(state) % 3);
             attach_graph(request, graph);
             break;
         default: {
             request = make_request(RequestType::Game, i);
-            const std::string& machine = machines[mix(state) % machines.size()];
+            const std::string& machine =
+                machines[splitmix64_next(state) % machines.size()];
             const bool decider = machine == "allsel" || machine == "eulerian";
             set_query(request, machine, decider ? 0 : 1,
-                      mix(state) % 2 ? "global" : "local");
+                      splitmix64_next(state) % 2 ? "global" : "local");
             attach_graph(request, graph);
             break;
         }
@@ -289,7 +282,7 @@ int generate_eval(const std::string& formula, long count, std::uint64_t seed) {
     for (long i = 0; i < count; ++i) {
         service::Request request = make_request(service::RequestType::Eval, i);
         request.eval_text = formula;
-        attach_graph(request, graphs[mix(state) % graphs.size()]);
+        attach_graph(request, graphs[splitmix64_next(state) % graphs.size()]);
         std::cout << request.to_json() << "\n";
     }
     return 0;
@@ -342,7 +335,7 @@ int generate_patch(long count, std::uint64_t seed, bool golden) {
     for (long i = 1; i < count; ++i) {
         // One query flavor per line, drawn before the ops so both modes
         // consume the stream identically.
-        const std::uint64_t qpick = mix(state) % 100;
+        const std::uint64_t qpick = splitmix64_next(state) % 100;
         const char* machine = "eulerian";
         int layers = 0;
         if (qpick < 20) {
@@ -355,13 +348,13 @@ int generate_patch(long count, std::uint64_t seed, bool golden) {
         const bool plain_query = i % 8 == 0; // digest-reference game line
         std::vector<service::PatchOp> ops;
         if (!plain_query) {
-            const std::uint64_t pick = mix(state) % 100;
+            const std::uint64_t pick = splitmix64_next(state) % 100;
             if (pick < 55) {
                 // Chord toggle: endpoints at cyclic distance >= 2, so the
                 // base cycle is never cut.
-                const NodeId u = static_cast<NodeId>(mix(state) % kBase);
+                const NodeId u = static_cast<NodeId>(splitmix64_next(state) % kBase);
                 const NodeId v = static_cast<NodeId>(
-                    (u + 2 + mix(state) % (kBase - 3)) % kBase);
+                    (u + 2 + splitmix64_next(state) % (kBase - 3)) % kBase);
                 service::PatchOp op;
                 op.kind = mirror.has_edge(u, v)
                               ? service::PatchOp::Kind::RemoveEdge
@@ -372,14 +365,15 @@ int generate_patch(long count, std::uint64_t seed, bool golden) {
             } else if (pick < 75) {
                 service::PatchOp op;
                 op.kind = service::PatchOp::Kind::Relabel;
-                op.u = static_cast<NodeId>(mix(state) % mirror.num_nodes());
-                op.label = mix(state) % 2 ? "1" : "0";
+                op.u = static_cast<NodeId>(splitmix64_next(state) % mirror.num_nodes());
+                op.label = splitmix64_next(state) % 2 ? "1" : "0";
                 ops.push_back(op);
             } else if (grown_anchor.empty() ||
                        (pick < 90 && grown_anchor.size() < kMaxGrown)) {
                 // Grow: add a node and wire it to the cycle in one patch, so
                 // the graph never serves a query disconnected.
-                const NodeId anchor = static_cast<NodeId>(mix(state) % kBase);
+                const NodeId anchor =
+                    static_cast<NodeId>(splitmix64_next(state) % kBase);
                 service::PatchOp add;
                 add.kind = service::PatchOp::Kind::AddNode;
                 add.label = "1";
