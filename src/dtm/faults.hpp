@@ -11,8 +11,8 @@ namespace lph {
 
 /// Deterministic, seed-replayable adversarial fault model for the runners.
 ///
-/// Every decision is a pure function of (seed, kind, round, node, slot) via a
-/// splitmix64-style hash — there is no shared random stream — so a plan
+/// Every decision is a pure function of (seed, kind, round, node, slot) via
+/// nested splitmix64 (core/rng.hpp) — there is no shared random stream — so a plan
 /// replays identically regardless of how a runner iterates, and a single
 /// seed fully describes an adversary for a bug report.
 ///

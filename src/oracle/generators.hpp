@@ -73,7 +73,8 @@ Formula random_sentence(Rng& rng, const FormulaGenOptions& opt);
 
 /// Splits one corpus seed into a per-instance seed.  A plain counter would
 /// make adjacent instances' streams overlap after a shared prefix; this
-/// mixes the bits (splitmix64 finalizer) so instance i and i+1 are unrelated.
+/// takes the index-th splitmix64 draw from corpus_seed, whose avalanche mix
+/// leaves instance i and i+1 unrelated.
 std::uint64_t instance_seed(std::uint64_t corpus_seed, std::uint64_t index);
 
 } // namespace lph

@@ -30,8 +30,8 @@ void register_service_checks();
 
 /// Deterministic, seed-replayable wire-level adversary — the transport-layer
 /// sibling of the engine's FaultPlan (dtm/faults.hpp).  Every decision is a
-/// pure function of (seed, channel, response index) via splitmix64-style
-/// hashing, so a chaos run replays identically regardless of worker count or
+/// pure function of (seed, channel, response index) via nested splitmix64
+/// (core/rng.hpp), so a chaos run replays identically regardless of worker count or
 /// scheduling, and a single seed fully describes the adversary.
 ///
 /// Garbling is xor-with-0xFF by construction: any garbled ASCII byte lands
