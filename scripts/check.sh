@@ -49,6 +49,22 @@ python3 scripts/trace_lint.py build/trace_lphd.json
 ./build/tools/lph_client --verify --expect 120 \
     --against build/patch_golden.jsonl < build/patch_replies.jsonl
 
+# The same storm under a generous default deadline: clean, completed runs
+# stay cacheable under a deadline, so the shared view cache must still serve
+# hits and every verdict must still match the golden replay.
+./build/tools/lph_client --patch 120 --seed 5 \
+    | ./build/tools/lphd --pipe --threads 1 --default-deadline-ms 60000 \
+        --metrics build/patch_deadline_metrics.json \
+        > build/patch_deadline_replies.jsonl
+./build/tools/lph_client --verify --expect 120 \
+    --against build/patch_golden.jsonl < build/patch_deadline_replies.jsonl
+python3 - <<'EOF'
+import json
+hits = json.load(open("build/patch_deadline_metrics.json"))["service.cache.hits"]
+assert hits > 0, "deadline patch smoke: service.cache.hits = %s" % hits
+print("deadline patch smoke: %d shared view-cache hits" % hits)
+EOF
+
 # Language-frontend + admission-control smoke: the committed cost-model
 # calibration must match a fresh fit from the bench baselines, then a storm
 # of user-written formulas with one hostile 8-quantifier request mixed in.

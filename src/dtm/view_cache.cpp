@@ -206,10 +206,8 @@ ViewKeyBuilder::ViewKeyBuilder(const LocalMachine& machine, const LabeledGraph& 
                                const ExecutionOptions& exec) {
     // Run-global couplings break the per-node view determinism the cache
     // relies on: injected faults address nodes by index and round, the
-    // total-byte cap and the wall-clock deadline tie one node's fate to the
-    // whole run's traffic and timing.
-    if (exec.faults != nullptr || exec.max_total_message_bytes > 0 ||
-        exec.deadline_ms > 0) {
+    // total-byte cap ties one node's fate to the whole run's traffic.
+    if (exec.faults != nullptr || exec.max_total_message_bytes > 0) {
         return;
     }
     // Non-unique identifiers fatal every run before round 1; nothing clean

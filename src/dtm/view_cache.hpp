@@ -180,10 +180,11 @@ public:
     ViewKeyBuilder(const LocalMachine& machine, const LabeledGraph& g,
                    const IdentifierAssignment& id, const ExecutionOptions& exec);
 
-    /// False when this context cannot be cached at all: a fault plan or a
-    /// run-global resource coupling (deadline, total-byte cap) makes node
-    /// verdicts depend on more than their views, or the identifiers are not
-    /// locally unique so every run fatals anyway.
+    /// False when this context cannot be cached at all: a fault plan or the
+    /// run-global total-byte cap makes node verdicts depend on more than
+    /// their views, or the identifiers are not locally unique so every run
+    /// fatals anyway.  A wall-clock deadline does not gate: it can only abort
+    /// a run, and only clean, completed runs are ever cached.
     bool cacheable() const { return cacheable_; }
 
     /// The effective information radius used for the keys.

@@ -15,6 +15,14 @@ namespace lph {
 namespace {
 
 constexpr std::uint64_t kSaturated = std::numeric_limits<std::uint64_t>::max();
+/// Configuration budgets: a class past either one keeps an all-Unknown table.
+constexpr std::uint64_t kMaxConfigsPerClass = 1 << 12;
+constexpr std::uint64_t kMaxTotalConfigs = 1 << 20;
+/// Profitability gate of GameBackend::Auto: compilation costs one ball run
+/// per in-budget configuration, an amount known before any simulation, while
+/// what it can save is bounded by the exhaustive leaf space.  Planned ball
+/// runs above this multiple of tree_size decline the compile.
+constexpr double kMaxCompileCostRatio = 1.0;
 
 std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
     if (a == 0 || b == 0) {
@@ -50,8 +58,7 @@ std::string class_signature(const ViewKeyBuilder& keys, const GameTables& tables
 std::unique_ptr<CompiledGameCore>
 CompiledGameCore::compile(const GameSpec& spec, const GameTables& tables,
                           const LabeledGraph& g, const IdentifierAssignment& id,
-                          const ExecutionOptions& exec,
-                          const CompiledLimits& limits) {
+                          const ExecutionOptions& exec, bool profitable_only) {
     check(spec.machine != nullptr, "CompiledGameCore: no machine");
     check(tables.layers() == spec.layers.size(),
           "CompiledGameCore: tables were built for a different spec");
@@ -112,17 +119,17 @@ CompiledGameCore::compile(const GameSpec& spec, const GameTables& tables,
 
     // Profitability gate: planned ball runs (mirroring the fill loop's
     // budget logic) against the exhaustive leaf space the tables can save.
-    if (limits.max_cost_ratio > 0) {
+    if (profitable_only) {
         std::uint64_t planned = 0;
         for (const ClassTable& table : core->classes_) {
-            if (table.configs > limits.max_configs_per_class ||
-                planned + table.configs > limits.max_total_configs) {
+            if (table.configs > kMaxConfigsPerClass ||
+                planned + table.configs > kMaxTotalConfigs) {
                 continue;
             }
             planned += table.configs;
         }
         if (static_cast<double>(planned) >
-            limits.max_cost_ratio * static_cast<double>(tables.tree_size())) {
+            kMaxCompileCostRatio * static_cast<double>(tables.tree_size())) {
             return nullptr;
         }
     }
@@ -138,8 +145,8 @@ CompiledGameCore::compile(const GameSpec& spec, const GameTables& tables,
     std::uint64_t total_configs = 0;
     for (ClassTable& table : core->classes_) {
         core->table_entries_ += table.members * table.configs;
-        if (table.configs > limits.max_configs_per_class ||
-            total_configs + table.configs > limits.max_total_configs) {
+        if (table.configs > kMaxConfigsPerClass ||
+            total_configs + table.configs > kMaxTotalConfigs) {
             core->unknown_entries_ += table.members * table.configs;
             continue;
         }

@@ -9,24 +9,6 @@
 
 namespace lph {
 
-/// Budget knobs for table compilation.  A view class whose configuration
-/// space exceeds the per-class cap (or would push the total past the global
-/// cap) is kept as an all-unknown class: its leaves fall back to the
-/// interpreted per-leaf path, so the caps only ever cost performance.
-struct CompiledLimits {
-    std::uint64_t max_configs_per_class = 1 << 12;
-    std::uint64_t max_total_configs = 1 << 20;
-    /// Profitability gate: compilation costs one ball run per in-budget
-    /// configuration, an amount known before any simulation, while what it
-    /// can save is bounded by the exhaustive leaf space.  When the ratio is
-    /// positive and planned configurations exceed ratio x tree_size, compile()
-    /// declines (returns nullptr) so small short-circuiting solves — a
-    /// serving workload of tiny one-shot graphs, say — keep the interpreted
-    /// path's early exits instead of paying for tables they will never
-    /// amortize.  0 disables the gate (always compile when compilable).
-    double max_cost_ratio = 0;
-};
-
 /// One machine's per-view behaviour, compiled to flat decision tables.
 ///
 /// For every node u the game engine ultimately needs one bit per leaf: does
@@ -77,12 +59,16 @@ public:
     /// Compiles the machine's per-view behaviour for one (spec, tables,
     /// graph, identifiers, exec) context, or returns nullptr when the
     /// context is not compilable — the exact conditions under which the view
-    /// cache refuses to cache (fault plans, deadlines, byte caps, ids that
-    /// are not locally unique), plus leaf-only games.
+    /// cache refuses to cache (fault plans, byte caps, ids that are not
+    /// locally unique), plus leaf-only games.  With `profitable_only` it
+    /// also returns nullptr when the profitability gate declines (see
+    /// GameBackend::Auto).  A view class past the per-class or total
+    /// configuration budget stays all-Unknown, so the budgets only ever
+    /// cost performance.
     static std::unique_ptr<CompiledGameCore>
     compile(const GameSpec& spec, const GameTables& tables,
             const LabeledGraph& g, const IdentifierAssignment& id,
-            const ExecutionOptions& exec, const CompiledLimits& limits = {});
+            const ExecutionOptions& exec, bool profitable_only);
 
     const std::vector<ClassTable>& classes() const { return classes_; }
     const std::vector<NodeTable>& nodes() const { return nodes_; }

@@ -57,8 +57,8 @@ double elapsed_ms(Clock::time_point start) {
 } // namespace
 
 /// Lazily-built compiled core, cached on the tables so a whole batch flavor
-/// pays one compilation.  Lives behind a shared_ptr so GameTables stays
-/// movable (std::mutex is not).
+/// pays one compilation (or one declined gate).  Lives behind a shared_ptr so
+/// GameTables stays movable (std::mutex is not).
 struct GameTables::CompiledSlot {
     std::mutex mutex;
     bool attempted = false;
@@ -69,18 +69,18 @@ struct GameTables::CompiledSlot {
 namespace {
 
 /// The execution-option fields a compiled table's entries depend on (plus
-/// the machine identity and the compilability gates).  on_violation is
-/// deliberately absent: tables only ever hold clean runs, where the
-/// violation policy never fires.
+/// the machine identity, the compilability gates and whether the
+/// profitability gate applies).  on_violation and the wall-clock deadline are
+/// deliberately absent: tables only ever hold clean, completed runs, which
+/// neither the violation policy nor timing can change.
 std::string compile_signature(const GameSpec& spec, const ExecutionOptions& exec,
-                              double max_cost_ratio) {
+                              bool profitable_only) {
     std::ostringstream sig;
     sig << static_cast<const void*>(spec.machine) << '|' << exec.max_rounds
         << '|' << exec.max_steps_per_round << '|'
         << exec.enforce_declared_bounds << '|' << exec.max_space_per_node
         << '|' << exec.validate_certificates << '|' << (exec.faults != nullptr)
-        << '|' << (exec.deadline_ms > 0) << '|'
-        << (exec.max_total_message_bytes > 0) << '|' << max_cost_ratio;
+        << '|' << (exec.max_total_message_bytes > 0) << '|' << profitable_only;
     return sig.str();
 }
 
@@ -91,18 +91,17 @@ const CompiledGameCore* GameTables::compiled(const GameSpec& spec,
                                              const IdentifierAssignment& id,
                                              const ExecutionOptions& exec,
                                              double* built_now_ms,
-                                             double max_cost_ratio) const {
+                                             bool profitable_only) const {
     if (built_now_ms != nullptr) {
         *built_now_ms = 0;
     }
-    const std::string signature = compile_signature(spec, exec, max_cost_ratio);
+    const std::string signature = compile_signature(spec, exec, profitable_only);
     const std::lock_guard<std::mutex> lock(slot_->mutex);
     if (slot_->attempted && slot_->signature == signature) {
         return slot_->core.get();
     }
-    CompiledLimits limits;
-    limits.max_cost_ratio = max_cost_ratio;
-    auto fresh = CompiledGameCore::compile(spec, *this, g, id, exec, limits);
+    auto fresh =
+        CompiledGameCore::compile(spec, *this, g, id, exec, profitable_only);
     if (fresh != nullptr) {
         if (built_now_ms != nullptr) {
             *built_now_ms = fresh->compile_ms();
@@ -112,7 +111,7 @@ const CompiledGameCore* GameTables::compiled(const GameSpec& spec,
         slot_->attempted = true;
         return slot_->core.get();
     }
-    // Keep an existing core built under a different signature: a deadline'd
+    // Keep an existing core built under a different signature: a faulted
     // request in the middle of a batch must not evict the batch's tables.
     if (!slot_->attempted) {
         slot_->signature = signature;
@@ -233,17 +232,10 @@ public:
             check(tables.layer_product(i) <= options.max_assignments_per_layer,
                   "play_game: layer assignment space exceeds the guard");
         }
-        if (options.backend == GameBackend::Compiled && tables.layers() > 0) {
-            // Table entries are clean completed ball runs — timing-independent
-            // facts — so compile without the wall-clock deadline: it still
-            // guards every fallback leaf through options.exec, and stripping
-            // it here both keeps the tables deterministic and lets deadline'd
-            // service requests share the batch's compiled core.
-            ExecutionOptions compile_exec = options.exec;
-            compile_exec.deadline_ms = 0;
-            compiled_ = tables.compiled(spec, g, id, compile_exec,
+        if (options.backend != GameBackend::Interpreted && tables.layers() > 0) {
+            compiled_ = tables.compiled(spec, g, id, options.exec,
                                         &compile_ms_paid_,
-                                        options.compile_cost_ratio);
+                                        options.backend == GameBackend::Auto);
         }
         if (compiled_ != nullptr) {
             setup_packing();
@@ -1034,10 +1026,10 @@ private:
                 {"ball_runs", static_cast<double>(stats.ball_runs)},
                 {"partial_fallbacks",
                  static_cast<double>(stats.partial_fallbacks)},
+                {"compiled_classes", static_cast<double>(stats.compiled_classes)},
+                {"compiled_solves", stats.compiled_classes > 0 ? 1.0 : 0.0},
             });
-        metrics.set("game.workers", static_cast<double>(stats.workers));
-        metrics.set("game.compiled_classes",
-                    static_cast<double>(stats.compiled_classes));
+        metrics.observe("game.workers", static_cast<double>(stats.workers));
         if (pool_used_ != nullptr) {
             // Shared-pool lifetime totals (jobs/tasks/steals), so the gauges
             // reflect the pool's state as of the latest solve.

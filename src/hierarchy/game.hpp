@@ -10,7 +10,6 @@ namespace lph {
 
 class ViewCache;
 class CompiledGameCore;
-struct CompiledLimits;
 
 namespace obs {
 class Session;
@@ -69,6 +68,26 @@ struct GameSpec {
     bool starts_existential = true;
 };
 
+/// Which leaf-evaluation core play_game uses.  Every backend produces
+/// bit-identical GameResults apart from stats: a node's verdict depends only
+/// on its radius-R view, which the view cache and the compiled class tables
+/// both key on.
+enum class GameBackend {
+    /// Per-leaf whole-graph machine interpretation (with the view cache) —
+    /// the reference path.
+    Interpreted,
+    /// Compiled per-view decision tables with 64-wide packed evaluation and
+    /// orbit sharing, built whenever the context is compilable; otherwise
+    /// (fault plans, byte caps, non-locally-unique ids, leaf-only games) the
+    /// solve runs Interpreted.
+    Compiled,
+    /// Compiled when the profitability gate passes — the planned ball runs
+    /// of the compile are at most the exhaustive leaf space — and
+    /// Interpreted otherwise, so small short-circuiting solves keep the
+    /// interpreter's early exits.
+    Auto,
+};
+
 /// Per-layer, per-node certificate option tables, built once per
 /// (spec, graph, identifiers) and shared between play_game and
 /// game_tree_size so callers stop paying the domain enumeration twice.
@@ -95,31 +114,20 @@ public:
     /// (see CompiledGameCore::compile).  A later call with execution options
     /// whose verdict-relevant fields differ recompiles; when `built_now_ms`
     /// is non-null it receives the compile time this call paid (0 on reuse).
-    /// `max_cost_ratio` is the profitability gate
-    /// (CompiledLimits::max_cost_ratio; 0 = always compile).  Thread-safe.
+    /// `profitable_only` applies the profitability gate (GameBackend::Auto;
+    /// see CompiledGameCore::compile).  A declined gate is cached too, so a
+    /// batch pays the decision once.  Thread-safe.
     const CompiledGameCore* compiled(const GameSpec& spec, const LabeledGraph& g,
                                      const IdentifierAssignment& id,
                                      const ExecutionOptions& exec,
                                      double* built_now_ms = nullptr,
-                                     double max_cost_ratio = 0) const;
+                                     bool profitable_only = false) const;
 
 private:
     struct CompiledSlot; // defined in game.cpp (holds the slot mutex)
 
     std::vector<std::vector<std::vector<BitString>>> tables_;
     std::shared_ptr<CompiledSlot> slot_;
-};
-
-/// Which leaf-evaluation core play_game uses.
-enum class GameBackend {
-    /// Per-leaf whole-graph machine interpretation (with the view cache).
-    Interpreted,
-    /// Compiled per-view decision tables with 64-wide packed evaluation and
-    /// orbit sharing; falls back to Interpreted automatically when the
-    /// context is not compilable (fault plans, deadlines, byte caps,
-    /// non-locally-unique ids, leaf-only games).  Both backends produce
-    /// bit-identical GameResults apart from stats.
-    Compiled,
 };
 
 struct GameOptions {
@@ -145,7 +153,7 @@ struct GameOptions {
     /// (sound for the paper's deterministic machines; see DESIGN.md).  The
     /// cache never changes verdicts or the deterministic counters, only the
     /// perf stats.  Automatically disabled when the execution options carry
-    /// run-global couplings (fault plans, deadlines, byte caps).
+    /// run-global couplings (fault plans, byte caps).
     bool memoize_views = true;
 
     /// Optional shared cache (e.g. across instances of the same machine);
@@ -153,21 +161,10 @@ struct GameOptions {
     ViewCache* view_cache = nullptr;
     std::size_t view_cache_entries = 1 << 20;
 
-    /// Leaf-evaluation core.  Compiled replaces the per-leaf interpreter
-    /// (and the view cache) with flat decision tables evaluated 64 leaves
-    /// per word; results stay bit-identical either way.  Interpreted is the
-    /// default so existing engine-level callers keep their exact perf-stat
-    /// profile; the serving layer and the benches opt into Compiled.
+    /// Leaf-evaluation core.  Interpreted is the default so engine-level
+    /// callers keep their exact perf-stat profile; the serving layer runs
+    /// Auto, the differential checks and the benches' speedup rows Compiled.
     GameBackend backend = GameBackend::Interpreted;
-
-    /// Compilation profitability gate (CompiledLimits::max_cost_ratio):
-    /// with a positive ratio, the Compiled backend declines to build tables
-    /// whose up-front ball runs exceed ratio x the exhaustive leaf space and
-    /// falls back to Interpreted.  0 always compiles — the oracle and the
-    /// benches want the compiled path exercised regardless of payoff; the
-    /// serving layer gates at 1.0 so tiny one-shot requests keep the
-    /// interpreter's short-circuit exits.
-    double compile_cost_ratio = 0;
 
     /// Partial leaf recomputation for dynamic-graph serving (DESIGN.md
     /// "Incremental serving").  When the context is cacheable, a leaf whose

@@ -70,7 +70,6 @@ Features features_for(const Request& request, std::size_t resolved_nodes) {
         // Radius-1 views; each certificate layer alternates the game.
         f.radius = 1;
         f.alternation_depth = request.layers;
-        f.backend = request.backend;
         break;
     case RequestType::Logic: {
         const Features lf = logic_features(request.formula, request.fseed);
@@ -122,7 +121,7 @@ double predict_request_cost_us(const Request& request,
     }
     const Features f = features_for(request, resolved_nodes);
     return predict_cost_us(f.nodes, f.radius, f.quantifiers,
-                           f.alternation_depth, f.backend, model);
+                           f.alternation_depth, model);
 }
 
 Decision decide(const Request& request, std::size_t resolved_nodes,

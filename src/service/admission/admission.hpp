@@ -47,7 +47,6 @@ struct Features {
     int radius = 0;
     std::size_t quantifiers = 0;
     int alternation_depth = 0;
-    std::string backend = "interpreted";
 };
 
 Features features_for(const Request& request, std::size_t resolved_nodes);

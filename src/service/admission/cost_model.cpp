@@ -21,8 +21,7 @@ const CostModel& calibrated_cost_model() {
 }
 
 double predict_cost_us(std::size_t nodes, int radius, std::size_t quantifiers,
-                       int alternation_depth, const std::string& backend,
-                       const CostModel& model) {
+                       int alternation_depth, const CostModel& model) {
     // m = 3n + 1 matches the calibration fit: one element per node plus the
     // label-bit elements the structure mints alongside it.
     const double m =
@@ -45,10 +44,7 @@ double predict_cost_us(std::size_t nodes, int radius, std::size_t quantifiers,
         std::min(model.so_exponent_cap,
                  static_cast<double>(std::max(alternation_depth, 0)) * m);
     const double so_factor = std::pow(2.0, so_exponent);
-
-    const double backend_factor =
-        backend == "compiled" ? model.compiled_factor : 1.0;
-    return linear * fo_visits * ball * so_factor * backend_factor;
+    return linear * fo_visits * ball * so_factor;
 }
 
 } // namespace admission

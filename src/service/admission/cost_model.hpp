@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace lph {
 namespace service {
@@ -21,7 +20,6 @@ struct CostModel {
     double avg_degree = 4.0;   ///< ball growth per locality-radius step
     double fo_exponent_cap = 12.0;  ///< largest modeled m^quantifiers power
     double so_exponent_cap = 48.0;  ///< largest modeled lg of SO enumeration
-    double compiled_factor = 0.25;  ///< compiled backend speedup vs eval
     double oracle_instance_us = 2000.0; ///< per oracle_check instance
 };
 
@@ -34,15 +32,16 @@ const CostModel& calibrated_cost_model();
 ///   quantifiers        first-order quantifier count p (visits ~ m^p)
 ///   alternation_depth  SO-quantifier / layer alternation depth
 ///                      (enumeration ~ 2^(depth * m))
-///   backend            "compiled" scales by compiled_factor, anything else
-///                      (interpreted leaf cores, the formula evaluator) by 1
+///
+/// The game engine picks its leaf-evaluation core itself, so a request is
+/// priced by its shape alone.
 ///
 /// Strictly monotone in each of nodes / radius / quantifiers /
 /// alternation_depth until the corresponding cap saturates (the radius ball
 /// at m, the exponents at fo_exponent_cap / so_exponent_cap) — anything past
 /// a cap is far beyond every admission limit anyway.
 double predict_cost_us(std::size_t nodes, int radius, std::size_t quantifiers,
-                       int alternation_depth, const std::string& backend,
+                       int alternation_depth,
                        const CostModel& model = calibrated_cost_model());
 
 } // namespace admission

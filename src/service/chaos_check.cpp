@@ -42,9 +42,7 @@ double prob_param(const ReproCase& r, const std::string& key) {
 std::vector<Request> build_workload(const LabeledGraph& graph) {
     std::vector<Request> requests;
     auto with_graph = [&graph](Request request) {
-        request.has_graph = true;
-        request.graph = graph;
-        request.canonical_graph = graph_to_text(graph);
+        request.attach_graph(graph);
         return request;
     };
     Request game;
@@ -342,9 +340,7 @@ std::optional<std::string> compare_patch_vs_full(const ReproCase& r) {
     LabeledGraph mirror = r.graph;
     Request reg;
     reg.type = RequestType::GraphRegister;
-    reg.has_graph = true;
-    reg.graph = mirror;
-    reg.canonical_graph = graph_to_text(mirror);
+    reg.attach_graph(mirror);
     if (core.call(reg).status != "ok") {
         return "graph_register failed";
     }
@@ -390,9 +386,7 @@ std::optional<std::string> compare_patch_vs_full(const ReproCase& r) {
             return desync.str();
         }
 
-        golden_query.has_graph = true;
-        golden_query.graph = mirror;
-        golden_query.canonical_graph = graph_to_text(mirror);
+        golden_query.attach_graph(mirror);
         const Response golden = reference.serve_unbatched(golden_query);
 
         std::ostringstream detail;

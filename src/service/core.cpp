@@ -69,8 +69,7 @@ void append_game_result(std::ostream& body, const GameResult& result) {
 }
 
 /// The retention key of a layers-0 patch query: every field that can change
-/// the per-node outputs (backend is excluded — both backends are
-/// verdict-identical).
+/// the per-node outputs.
 std::string decider_flavor(const Request& request) {
     return request.machine + '|' + std::to_string(request.layers) + '|' +
            (request.sigma ? '1' : '0') + '|' + request.ids;
@@ -456,7 +455,8 @@ bool ServiceCore::serve_one(Pending& pending, BatchContext& ctx,
             const double remaining_ms =
                 deadline_ms > 0 ? deadline_ms - waited_ms : 0;
             try {
-                response.body = execute(request, ctx, remaining_ms);
+                response.body = execute(request, ctx, remaining_ms,
+                                        response.timing.backend);
                 // A tolerate_faults run under a deadline can score leaves as
                 // losses depending on wall-clock — a time-dependent body must
                 // never be replayed to other clients.
@@ -519,10 +519,6 @@ void ServiceCore::finish_timing(
     t.queue_us = ms_to_us(queue_ms);
     t.batch_us = ms_to_us(batch_ms);
     t.exec_us = ms_to_us(exec_ms);
-    if (request.type == RequestType::Game ||
-        (request.type == RequestType::GraphPatch && !request.machine.empty())) {
-        t.backend = request.backend;
-    }
     t.worker_pid = pid_;
     t.generation = options_.worker_generation;
     // write covers response materialization after execute (memo insert,
@@ -578,14 +574,12 @@ bool ServiceCore::resolve_graph_ref(Request& request) {
     if (resident->digest != request.ref_digest) {
         return false; // re-keyed by a patch between find() and the lock
     }
-    request.graph = resident->graph;
-    request.canonical_graph = resident->canonical;
-    request.has_graph = true;
+    request.attach_graph(resident->graph, resident->canonical);
     return true;
 }
 
 std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
-                                 double deadline_ms) {
+                                 double deadline_ms, std::string& backend) {
     std::ostringstream body;
     switch (request.type) {
     case RequestType::Game: {
@@ -609,12 +603,7 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
         opt.tolerate_faults = request.tolerate_faults;
         opt.backend = request.backend == "interpreted"
                           ? GameBackend::Interpreted
-                          : GameBackend::Compiled;
-        // Compile only when the tables can pay for themselves within one
-        // exhaustive solve: a serving mix of small one-shot graphs would
-        // otherwise trade the interpreter's short-circuit exits for
-        // compilation it never amortizes.
-        opt.compile_cost_ratio = 1.0;
+                          : GameBackend::Auto;
         opt.obs = options_.obs;
         opt.exec.deadline_ms = deadline_ms;
         FaultPlan plan;
@@ -627,14 +616,15 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
             opt.exec.faults = &plan;
         }
         if (options_.share_view_cache) {
-            // Harmless for deadline'd/faulted requests: ViewKeyBuilder
-            // refuses run-global couplings, so those runs bypass the cache.
+            // Harmless for faulted requests: ViewKeyBuilder refuses
+            // run-global couplings, so those runs bypass the cache.
             opt.view_cache = cache_for(request.machine);
         }
         opt.view_cache_entries = options_.view_cache_entries;
 
         const GameResult result =
             play_game(game.spec, tables, request.graph, id, opt);
+        backend = result.stats.compiled_classes > 0 ? "compiled" : "interpreted";
         // The engine scores injected faults as probe losses either way; the
         // wire contract is stricter: without tolerate_faults, a faulted probe
         // escalates to a structured error carrying the taxonomy code.
@@ -726,13 +716,14 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
         break;
     }
     case RequestType::GraphPatch:
-        return execute_patch(request, ctx, deadline_ms);
+        return execute_patch(request, ctx, deadline_ms, backend);
     }
     return body.str();
 }
 
 std::string ServiceCore::execute_patch(const Request& request,
-                                       BatchContext& ctx, double deadline_ms) {
+                                       BatchContext& ctx, double deadline_ms,
+                                       std::string& backend) {
     const bool has_query = !request.machine.empty();
     int radius = 1;
     int r_id = 1;
@@ -780,6 +771,7 @@ std::string ServiceCore::execute_patch(const Request& request,
     // query again.
     outcome.graph.validate();
     body << ',';
+    backend = "interpreted";
     if (request.layers == 0) {
         body << evaluate_patch_decider(request, *game, outcome, deadline_ms);
         return body.str();
@@ -988,7 +980,8 @@ Response ServiceCore::serve_unbatched(const Request& request) {
         effective = &resolved;
     }
     try {
-        response.body = execute(*effective, ctx, deadline_ms);
+        response.body =
+            execute(*effective, ctx, deadline_ms, response.timing.backend);
     } catch (const run_error& e) {
         response.status = "error";
         response.error = to_string(e.code());

@@ -256,14 +256,16 @@ private:
     /// false when the digest does not resolve (the caller reports
     /// UnknownGraph).
     bool resolve_graph_ref(Request& request);
-    /// Executes the request and renders the response body; throws on failure.
+    /// Executes the request and renders the response body; throws on
+    /// failure.  An engine solve names the core that ran in `backend`
+    /// ("compiled" | "interpreted"; untouched otherwise).
     std::string execute(const Request& request, BatchContext& ctx,
-                        double deadline_ms);
+                        double deadline_ms, std::string& backend);
     /// graph_patch: mutates the resident graph, invalidates stale memo
     /// entries, and re-evaluates the optional machine query over the dirty
     /// region (DESIGN.md "Incremental serving").
     std::string execute_patch(const Request& request, BatchContext& ctx,
-                              double deadline_ms);
+                              double deadline_ms, std::string& backend);
     /// The layers-0 fast path: merges retained per-node verdicts with
     /// induced-ball reruns of the dirty nodes; falls back to one full
     /// run_local when retention is unavailable or any ball run is unclean.

@@ -139,6 +139,33 @@ std::vector<PatchOp> parse_ops(const JsonValue& value,
     return ops;
 }
 
+/// The query fields game and graph_patch share (machine, layers, sigma,
+/// ids).  Returns false when `key` is none of them.
+bool parse_query_field(const std::string& key, const JsonValue& value,
+                       Request& r) {
+    if (key == "machine") {
+        check(value.is_string(), "\"machine\" must be a string");
+        check(is_machine_name(value.string),
+              "unknown machine '" + value.string + "'");
+        r.machine = value.string;
+    } else if (key == "layers") {
+        const std::uint64_t layers = json_to_u64(value, "\"layers\"");
+        check(layers <= 3, "\"layers\" must be in [0, 3]");
+        r.layers = static_cast<int>(layers);
+    } else if (key == "sigma") {
+        check(value.is_bool(), "\"sigma\" must be a boolean");
+        r.sigma = value.boolean;
+    } else if (key == "ids") {
+        check(value.is_string() &&
+                  (value.string == "global" || value.string == "local"),
+              "\"ids\" must be \"global\" or \"local\"");
+        r.ids = value.string;
+    } else {
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 const char* to_string(RequestType type) {
@@ -176,6 +203,12 @@ std::uint64_t fnv1a64(const std::string& data) {
     return hash;
 }
 
+void Request::attach_graph(LabeledGraph g, std::string canonical) {
+    canonical_graph = canonical.empty() ? graph_to_text(g) : std::move(canonical);
+    graph = std::move(g);
+    has_graph = true;
+}
+
 std::uint64_t Request::graph_digest() const {
     return has_graph ? fnv1a64(canonical_graph) : 0;
 }
@@ -188,8 +221,7 @@ std::string Request::memo_key() const {
             << '|' << tolerate_faults << '|' << fault_seed << '|'
             << render_double(fault_crash) << '|' << render_double(fault_drop)
             << '|' << render_double(fault_truncate) << '|'
-            << render_double(fault_corrupt) << '|' << backend << '|'
-            << graph_digest();
+            << render_double(fault_corrupt) << '|' << graph_digest();
         break;
     case RequestType::Logic:
         key << "logic|" << formula << '|' << fseed << '|' << graph_digest();
@@ -311,9 +343,6 @@ std::string Request::to_json() const {
                 << ",\"layers\":" << layers
                 << ",\"sigma\":" << (sigma ? "true" : "false") << ",\"ids\":\""
                 << json_escape(ids) << "\"";
-            if (backend != "compiled") {
-                out << ",\"backend\":\"" << json_escape(backend) << "\"";
-            }
         }
         break;
     }
@@ -423,24 +452,7 @@ Request parse_request(const std::string& line, std::size_t line_number,
             switch (r.type) {
             case RequestType::Game:
                 known = true;
-                if (key == "machine") {
-                    check(value.is_string(), "\"machine\" must be a string");
-                    check(is_machine_name(value.string),
-                          "unknown machine '" + value.string + "'");
-                    r.machine = value.string;
-                } else if (key == "layers") {
-                    const std::uint64_t layers = json_to_u64(value, "\"layers\"");
-                    check(layers <= 3, "\"layers\" must be in [0, 3]");
-                    r.layers = static_cast<int>(layers);
-                } else if (key == "sigma") {
-                    check(value.is_bool(), "\"sigma\" must be a boolean");
-                    r.sigma = value.boolean;
-                } else if (key == "ids") {
-                    check(value.is_string() &&
-                              (value.string == "global" || value.string == "local"),
-                          "\"ids\" must be \"global\" or \"local\"");
-                    r.ids = value.string;
-                } else if (key == "tolerate_faults") {
+                if (key == "tolerate_faults") {
                     check(value.is_bool(),
                           "\"tolerate_faults\" must be a boolean");
                     r.tolerate_faults = value.boolean;
@@ -463,7 +475,7 @@ Request parse_request(const std::string& line, std::size_t line_number,
                           "\"interpreted\"");
                     r.backend = value.string;
                 } else {
-                    known = false;
+                    known = parse_query_field(key, value, r);
                 }
                 break;
             case RequestType::Logic:
@@ -540,33 +552,7 @@ Request parse_request(const std::string& line, std::size_t line_number,
                 // subset of the game fields (faults and deadlines make
                 // verdicts time/plan-dependent, which an incremental result
                 // must never be).
-                known = true;
-                if (key == "machine") {
-                    check(value.is_string(), "\"machine\" must be a string");
-                    check(is_machine_name(value.string),
-                          "unknown machine '" + value.string + "'");
-                    r.machine = value.string;
-                } else if (key == "layers") {
-                    const std::uint64_t layers = json_to_u64(value, "\"layers\"");
-                    check(layers <= 3, "\"layers\" must be in [0, 3]");
-                    r.layers = static_cast<int>(layers);
-                } else if (key == "sigma") {
-                    check(value.is_bool(), "\"sigma\" must be a boolean");
-                    r.sigma = value.boolean;
-                } else if (key == "ids") {
-                    check(value.is_string() &&
-                              (value.string == "global" || value.string == "local"),
-                          "\"ids\" must be \"global\" or \"local\"");
-                    r.ids = value.string;
-                } else if (key == "backend") {
-                    check(value.is_string() && (value.string == "compiled" ||
-                                                value.string == "interpreted"),
-                          "\"backend\" must be \"compiled\" or "
-                          "\"interpreted\"");
-                    r.backend = value.string;
-                } else {
-                    known = false;
-                }
+                known = parse_query_field(key, value, r);
                 break;
             case RequestType::Stats:
                 if (key == "detail") {
@@ -628,9 +614,7 @@ Request parse_request(const std::string& line, std::size_t line_number,
         }
 
         if (saw_graph) {
-            r.graph = graph_from_text(graph_text, limits.graph_limits());
-            r.canonical_graph = graph_to_text(r.graph);
-            r.has_graph = true;
+            r.attach_graph(graph_from_text(graph_text, limits.graph_limits()));
         }
         return r;
     } catch (const precondition_error& e) {

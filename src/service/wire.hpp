@@ -86,10 +86,12 @@ const char* to_string(PatchOp::Kind kind);
 /// "detail":"full" for the bucket-level registry snapshot.
 /// Game extras: "tolerate_faults", "fault_seed"/"fault_crash"/"fault_drop"/
 /// "fault_truncate"/"fault_corrupt" (a deterministic FaultPlan), and
-/// "backend" ("compiled", the default, or "interpreted" — which
-/// leaf-evaluation core the game engine uses; results are bit-identical, so
-/// the choice only matters for performance comparisons).  Unknown fields are
-/// protocol errors — strict by design.
+/// "backend": "compiled" (the default) lets the engine compile when its
+/// profitability gate passes (GameBackend::Auto), "interpreted" forces the
+/// reference interpreter.  Results are bit-identical either way, so the
+/// choice only matters for performance comparisons; the response's timing
+/// object reports which core actually ran.  Unknown fields are protocol
+/// errors — strict by design.
 struct Request {
     RequestType type = RequestType::Health;
     std::string id;          ///< client correlation id, "" when absent
@@ -110,10 +112,8 @@ struct Request {
     double fault_drop = 0;
     double fault_truncate = 0;
     double fault_corrupt = 0;
-    /// Leaf-evaluation core: "compiled" | "interpreted".  Part of the memo
-    /// key — the two backends return identical verdicts but differently
-    /// profiled results, and a memo must never serve a result computed by a
-    /// backend the client did not ask for.
+    /// Leaf-evaluation core: "compiled" (GameBackend::Auto) | "interpreted".
+    /// Not part of the memo key: both return bit-identical bodies.
     std::string backend = "compiled";
 
     // logic
@@ -160,6 +160,10 @@ struct Request {
                fault_corrupt > 0;
     }
 
+    /// Attaches a graph payload: moves `g` in and sets canonical_graph to
+    /// `canonical`, or to graph_to_text(g) when `canonical` is empty.
+    void attach_graph(LabeledGraph g, std::string canonical = {});
+
     /// 64-bit digest of the canonical graph payload (0 when absent).
     std::uint64_t graph_digest() const;
 
@@ -192,15 +196,18 @@ Request parse_request(const std::string& line, std::size_t line_number,
 ///
 /// The identity fields let an aggregator attribute the sample to a worker:
 /// worker_pid is the serving process, generation its supervisor restart
-/// count.  memo_hit/batch_size/backend mirror the envelope so the timing
-/// object is self-contained for clients that only parse it.
+/// count.  memo_hit/batch_size mirror the envelope so the timing object is
+/// self-contained for clients that only parse it.
 struct ResponseTiming {
     bool present = false;
     std::uint64_t queue_us = 0;
     std::uint64_t batch_us = 0;
     std::uint64_t exec_us = 0;
     std::uint64_t write_us = 0;
-    std::string backend;          ///< "" = not a game execution, omitted
+    /// The core that actually ran: "compiled" when the solve used compiled
+    /// tables, "interpreted" for any other engine solve, "" (omitted) for
+    /// memo hits and non-engine requests.
+    std::string backend;
     std::int64_t worker_pid = 0;
     std::uint64_t generation = 0;
 

@@ -44,26 +44,21 @@ std::string oversized_formula() {
 // -------------------------------------------------------------- cost model -
 
 TEST(CostModel, MonotoneInEveryFeatureUntilCapsSaturate) {
-    const auto cost = [](std::size_t n, int r, std::size_t q, int d,
-                         const char* backend) {
-        return admission::predict_cost_us(n, r, q, d, backend);
+    const auto cost = [](std::size_t n, int r, std::size_t q, int d) {
+        return admission::predict_cost_us(n, r, q, d);
     };
     // Nodes.
-    EXPECT_LT(cost(8, 1, 2, 0, "interpreted"), cost(16, 1, 2, 0, "interpreted"));
+    EXPECT_LT(cost(8, 1, 2, 0), cost(16, 1, 2, 0));
     // Radius grows the ball until it saturates at the whole universe.
-    EXPECT_LT(cost(8, 0, 2, 0, "interpreted"), cost(8, 1, 2, 0, "interpreted"));
-    EXPECT_LT(cost(8, 1, 2, 0, "interpreted"), cost(8, 2, 2, 0, "interpreted"));
-    EXPECT_EQ(cost(8, 3, 2, 0, "interpreted"), cost(8, 9, 2, 0, "interpreted"));
+    EXPECT_LT(cost(8, 0, 2, 0), cost(8, 1, 2, 0));
+    EXPECT_LT(cost(8, 1, 2, 0), cost(8, 2, 2, 0));
+    EXPECT_EQ(cost(8, 3, 2, 0), cost(8, 9, 2, 0));
     // Quantifier count, capped at the exponent guard.
-    EXPECT_LT(cost(8, 1, 1, 0, "interpreted"), cost(8, 1, 2, 0, "interpreted"));
-    EXPECT_EQ(cost(8, 1, 12, 0, "interpreted"),
-              cost(8, 1, 20, 0, "interpreted"));
+    EXPECT_LT(cost(8, 1, 1, 0), cost(8, 1, 2, 0));
+    EXPECT_EQ(cost(8, 1, 12, 0), cost(8, 1, 20, 0));
     // Alternation depth, capped at the SO exponent guard.
-    EXPECT_LT(cost(8, 1, 1, 0, "interpreted"), cost(8, 1, 1, 1, "interpreted"));
-    EXPECT_EQ(cost(8, 1, 1, 2, "interpreted"), cost(8, 1, 1, 3, "interpreted"));
-    // The compiled backend is priced at its measured discount.
-    EXPECT_DOUBLE_EQ(cost(8, 1, 2, 1, "compiled"),
-                     0.25 * cost(8, 1, 2, 1, "interpreted"));
+    EXPECT_LT(cost(8, 1, 1, 0), cost(8, 1, 1, 1));
+    EXPECT_EQ(cost(8, 1, 1, 2), cost(8, 1, 1, 3));
 }
 
 TEST(CostModel, CalibrationConstantsAreSane) {

@@ -84,11 +84,13 @@ void expect_identical(const GameResult& reference, const GameResult& other,
     }
 }
 
-/// Runs the interpreted sequential reference against the Compiled backend at
-/// 1 and 4 threads (same prebuilt tables, so one compilation serves both).
+/// Runs the interpreted sequential reference against `backend` (Compiled by
+/// default) at 1 and 4 threads (same prebuilt tables, so one compilation
+/// serves both).
 void expect_compiled_identical(const GameSpec& spec, const LabeledGraph& g,
                                const IdentifierAssignment& id,
-                               const GameOptions& base, const std::string& what) {
+                               const GameOptions& base, const std::string& what,
+                               GameBackend backend = GameBackend::Compiled) {
     const GameTables tables(spec, g, id);
     GameOptions reference_options = base;
     reference_options.threads = 1;
@@ -98,10 +100,10 @@ void expect_compiled_identical(const GameSpec& spec, const LabeledGraph& g,
     for (const unsigned threads : {1u, 4u}) {
         GameOptions options = base;
         options.threads = threads;
-        options.backend = GameBackend::Compiled;
+        options.backend = backend;
         const GameResult result = play_game(spec, tables, g, id, options);
         expect_identical(reference, result,
-                         what + " compiled threads=" + std::to_string(threads));
+                         what + " threads=" + std::to_string(threads));
         // The leaves-vs-sources identity the stats promise holds on the
         // packed path too (table-served leaves count as cache hits).
         EXPECT_EQ(result.stats.leaves_processed,
@@ -238,11 +240,11 @@ TEST(CompiledGame, FaultPlanDisablesCompilationButNotCorrectness) {
     EXPECT_EQ(result.stats.packed_words_evaluated, 0u);
 }
 
-TEST(CompiledGame, CostGateDeclinesUnprofitableCompiles) {
+TEST(CompiledGame, AutoDeclinesUnprofitableCompiles) {
     // On a 5-cycle the whole graph sits inside every R-ball, so compilation
-    // costs 5 x 2^5 ball runs against a 2^5-leaf solve; a 1.0 cost ratio
-    // must decline (falling back to the interpreter with identical results)
-    // while the ungated default still compiles.
+    // costs 5 x 2^5 ball runs against a 2^5-leaf solve: Auto's gate must
+    // decline (falling back to the interpreter with identical results) while
+    // Compiled still compiles.
     const LabeledGraph g = cycle_graph(5, "1");
     const auto id = make_global_ids(g);
     const ColoringVerifier verifier(2);
@@ -252,17 +254,17 @@ TEST(CompiledGame, CostGateDeclinesUnprofitableCompiles) {
     spec.layers = {&domain};
     spec.starts_existential = true;
 
-    GameOptions gated;
-    gated.compile_cost_ratio = 1.0;
-    expect_compiled_identical(spec, g, id, gated, "gated 5-cycle");
+    expect_compiled_identical(spec, g, id, GameOptions{}, "Auto 5-cycle",
+                              GameBackend::Auto);
 
-    GameOptions compiled = gated;
-    compiled.backend = GameBackend::Compiled;
-    const GameResult declined = play_game(spec, g, id, compiled);
+    GameOptions automatic;
+    automatic.backend = GameBackend::Auto;
+    const GameResult declined = play_game(spec, g, id, automatic);
     EXPECT_EQ(declined.stats.compiled_classes, 0u);
     EXPECT_EQ(declined.stats.packed_words_evaluated, 0u);
 
-    compiled.compile_cost_ratio = 0;
+    GameOptions compiled;
+    compiled.backend = GameBackend::Compiled;
     const GameResult eager = play_game(spec, g, id, compiled);
     EXPECT_EQ(eager.stats.compiled_classes, 5u);
     EXPECT_EQ(eager.accepted, declined.accepted);

@@ -51,13 +51,13 @@ std::string cycle6_payload() {
            "edge 5 0\\n";
 }
 
-/// Large enough (2^11 leaves vs ~350 compile-time ball runs) that the
-/// service's compilation profitability gate chooses the compiled tables.
-std::string cycle11_payload() {
-    std::string payload = "graph 11";
-    for (int v = 0; v < 11; ++v) {
+/// With n >= 11 (2^11 leaves vs ~350 compile-time ball runs) the engine's
+/// profitability gate chooses the compiled tables for coloring2.
+std::string cycle_payload(int n) {
+    std::string payload = "graph " + std::to_string(n);
+    for (int v = 0; v < n; ++v) {
         payload += "\\nedge " + std::to_string(v) + " " +
-                   std::to_string((v + 1) % 11);
+                   std::to_string((v + 1) % n);
     }
     payload += "\\n";
     return payload;
@@ -273,9 +273,7 @@ TEST(Wire, RequestRoundTripProperty) {
         if (rng.chance(0.3)) {
             r.deadline_ms = 1500;
         }
-        r.graph = g;
-        r.canonical_graph = graph_to_text(g);
-        r.has_graph = true;
+        r.attach_graph(g);
 
         const std::string wire = r.to_json();
         const Request parsed = parse_request(wire, 1, limits);
@@ -296,7 +294,7 @@ TEST(Wire, MemoKeyExcludesIdAndDeadline) {
     EXPECT_EQ(a.memo_key(), b.memo_key());
 }
 
-TEST(Wire, BackendFieldValidatedAndPartOfMemoKey) {
+TEST(Wire, BackendFieldValidatedAndOutsideTheMemoKey) {
     const std::string base =
         "{\"type\":\"game\",\"machine\":\"coloring2\",\"layers\":1,"
         "\"graph\":\"" + cycle6_payload() + "\"";
@@ -305,13 +303,20 @@ TEST(Wire, BackendFieldValidatedAndPartOfMemoKey) {
     const Request interp =
         parse_request(base + ",\"backend\":\"interpreted\"}", 1, WireLimits{});
     EXPECT_EQ(interp.backend, "interpreted");
-    // The backends profile differently, so they must never share a memo slot.
-    EXPECT_NE(dflt.memo_key(), interp.memo_key());
+    // Both backends return bit-identical bodies, so they share a memo slot.
+    EXPECT_EQ(dflt.memo_key(), interp.memo_key());
     EXPECT_EQ(parse_request(interp.to_json(), 1, WireLimits{}).backend,
               "interpreted");
     EXPECT_THROW(
         parse_request(base + ",\"backend\":\"quantum\"}", 1, WireLimits{}),
         precondition_error);
+    // graph_patch queries pick their own core; the field is unknown there.
+    EXPECT_THROW(parse_request("{\"type\":\"graph_patch\",\"digest\":\"1\","
+                               "\"ops\":[{\"op\":\"add_node\",\"label\":\"1\"}],"
+                               "\"machine\":\"eulerian\",\"layers\":0,"
+                               "\"backend\":\"interpreted\"}",
+                               1, WireLimits{}),
+                 precondition_error);
 }
 
 TEST(Wire, EvalRequestCanonicalizesAndRoundTrips) {
@@ -427,32 +432,40 @@ TEST(ServiceCore, MemoServesRepeatedRequestsAndReportsGauges) {
     EXPECT_TRUE(snapshot.count("service.cache.hits"));
 }
 
-TEST(ServiceCore, BackendsAgreeOnTheWireButMemoSeparately) {
+TEST(ServiceCore, BackendsAgreeOnTheWireAndShareTheMemo) {
     obs::Session session;
     ServiceOptions options = manual_options();
     options.obs = &session;
     ServiceCore core(options);
-    const std::string base =
-        "{\"type\":\"game\",\"machine\":\"coloring2\",\"layers\":1,"
-        "\"graph\":\"" + cycle11_payload() + "\"";
-    const Response interpreted = core.call(parse_request(
-        base + ",\"backend\":\"interpreted\"}", 1, WireLimits{}));
-    const Response compiled = core.call(parse_request(base + "}", 1,
-                                                      WireLimits{}));
-    ASSERT_EQ(compiled.status, "ok");
+    const auto game = [](int n, const std::string& extras) {
+        return parse_request(
+            "{\"type\":\"game\",\"machine\":\"coloring2\",\"layers\":1,"
+            "\"graph\":\"" + cycle_payload(n) + "\"" + extras + "}",
+            1, WireLimits{});
+    };
+    const Response interpreted =
+        core.call(game(11, ",\"backend\":\"interpreted\""));
+    const Response compiled = core.call(game(11, ""));
     ASSERT_EQ(interpreted.status, "ok");
-    EXPECT_FALSE(compiled.memo_hit); // backend is part of the memo key
+    ASSERT_EQ(compiled.status, "ok");
+    EXPECT_TRUE(compiled.memo_hit); // backend is not part of the memo key
     EXPECT_EQ(compiled.body, interpreted.body); // bit-identical results
 
-    // The default (compiled) request flowed through the packed evaluator and
-    // its counters reached the session registry.
+    // On a fresh graph the default request reaches the engine, which
+    // compiles (the gate passes), and its counters reach the registry.
+    const Response fresh = core.call(game(13, ""));
+    ASSERT_EQ(fresh.status, "ok");
+    EXPECT_FALSE(fresh.memo_hit);
     core.publish_metrics();
     std::map<std::string, double> snapshot;
     for (const auto& [name, value] : session.metrics().snapshot()) {
         snapshot[name] = value;
     }
-    EXPECT_GE(snapshot.at("game.compiled_classes"), 1.0);
+    EXPECT_EQ(snapshot.at("game.solves"), 2.0);
+    EXPECT_EQ(snapshot.at("game.compiled_solves"), 1.0);
+    EXPECT_EQ(snapshot.at("game.compiled_classes"), 13.0);
     EXPECT_GE(snapshot.at("game.packed_words_evaluated"), 1.0);
+    EXPECT_EQ(snapshot.at("game.workers.count"), 2.0);
 }
 
 TEST(ServiceCore, QueueFullIsStructuredRejectionNotHang) {
@@ -1091,6 +1104,44 @@ TEST(ServiceCore, DisconnectedQueryErrorsButPatchCommits) {
     EXPECT_EQ(response_verdict(mended), response_verdict(full));
 }
 
+TEST(ServiceCore, TimingReportsTheBackendThatRan) {
+    ServiceCore core(manual_options());
+    const auto game = [](const std::string& machine, int layers,
+                         const std::string& payload) {
+        return parse_request("{\"type\":\"game\",\"machine\":\"" + machine +
+                                 "\",\"layers\":" + std::to_string(layers) +
+                                 ",\"graph\":\"" + payload + "\"}",
+                             1, WireLimits{});
+    };
+    // A layers-0 game has nothing to compile.
+    EXPECT_EQ(core.call(game("eulerian", 0, cycle6_payload())).timing.backend,
+              "interpreted");
+    // A layered solve past the gate runs the compiled tables.
+    EXPECT_EQ(core.call(game("coloring2", 1, cycle_payload(11))).timing.backend,
+              "compiled");
+    // A memo hit ran no engine: the field is omitted.
+    const Response hit = core.call(game("coloring2", 1, cycle_payload(11)));
+    EXPECT_TRUE(hit.memo_hit);
+    EXPECT_EQ(hit.timing.backend, "");
+    EXPECT_EQ(hit.to_json().find("\"backend\""), std::string::npos);
+
+    // Patch queries run the interpreter (decider or partial leaves).
+    LabeledGraph mirror = cycle_graph(8, "1");
+    std::uint64_t digest = register_resident(core, mirror);
+    for (const std::string query : {",\"machine\":\"eulerian\",\"layers\":0",
+                                    ",\"machine\":\"coloring2\",\"layers\":1"}) {
+        mirror.set_label(0, mirror.label(0) == "1" ? "0" : "1");
+        const Response patched = core.call(patch_request(
+            digest,
+            "{\"op\":\"relabel\",\"u\":0,\"label\":\"" + mirror.label(0) +
+                "\"}",
+            query));
+        ASSERT_EQ(patched.status, "ok") << patched.detail;
+        EXPECT_EQ(patched.timing.backend, "interpreted") << query;
+        digest = fnv1a64(graph_to_text(mirror));
+    }
+}
+
 TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
     // A grow/shrink/relabel sequence replayed against full recomputation of
     // every intermediate graph — the deterministic core of what the
@@ -1105,11 +1156,9 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
     std::uint64_t digest = register_resident(core, mirror);
 
     const auto check_step = [&](const std::string& ops_json,
-                                const std::string& machine, int layers,
-                                const std::string& backend) {
+                                const std::string& machine, int layers) {
         const std::string extras = ",\"machine\":\"" + machine +
-                                   "\",\"layers\":" + std::to_string(layers) +
-                                   ",\"backend\":\"" + backend + "\"";
+                                   "\",\"layers\":" + std::to_string(layers);
         const Response served =
             core.call(patch_request(digest, ops_json, extras));
         ASSERT_EQ(served.status, "ok") << served.detail;
@@ -1120,8 +1169,8 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
             << served.body;
         const Response full = golden.serve_unbatched(parse_request(
             "{\"type\":\"game\",\"machine\":\"" + machine +
-                "\",\"layers\":" + std::to_string(layers) + ",\"backend\":\"" +
-                backend + "\",\"graph\":\"" +
+                "\",\"layers\":" + std::to_string(layers) +
+                ",\"backend\":\"interpreted\",\"graph\":\"" +
                 escape_newlines(graph_to_text(mirror)) + "\"}",
             1, WireLimits{}));
         ASSERT_EQ(full.status, "ok") << full.detail;
@@ -1132,11 +1181,9 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
     // Chord toggle, twice: the second query reuses the verdicts retained by
     // the first and goes through the incremental decider path.
     mirror.add_edge(0, 2);
-    check_step("{\"op\":\"add_edge\",\"u\":0,\"v\":2}", "eulerian", 0,
-               "interpreted");
+    check_step("{\"op\":\"add_edge\",\"u\":0,\"v\":2}", "eulerian", 0);
     mirror.remove_edge(0, 2);
-    check_step("{\"op\":\"remove_edge\",\"u\":0,\"v\":2}", "eulerian", 0,
-               "interpreted");
+    check_step("{\"op\":\"remove_edge\",\"u\":0,\"v\":2}", "eulerian", 0);
 
     // Grow through a (momentarily) disconnected state inside one patch.
     mirror.add_node("1");
@@ -1144,12 +1191,11 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
     check_step(
         "{\"op\":\"add_node\",\"label\":\"1\"},"
         "{\"op\":\"add_edge\",\"u\":8,\"v\":3}",
-        "eulerian", 0, "interpreted");
+        "eulerian", 0);
 
     // Relabel plus a layered query: the engine's partial-leaves path.
     mirror.set_label(5, "0");
-    check_step("{\"op\":\"relabel\",\"u\":5,\"label\":\"0\"}", "coloring2", 1,
-               "interpreted");
+    check_step("{\"op\":\"relabel\",\"u\":5,\"label\":\"0\"}", "coloring2", 1);
 
     // Shrink back (LIFO, so no renumbering surprises on the mirror).
     mirror.remove_edge(8, 3);
@@ -1157,7 +1203,7 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
     check_step(
         "{\"op\":\"remove_edge\",\"u\":8,\"v\":3},"
         "{\"op\":\"remove_node\",\"u\":8}",
-        "eulerian", 0, "interpreted");
+        "eulerian", 0);
 
     const ServiceStats stats = core.stats();
     EXPECT_EQ(stats.patches_applied, 5u);

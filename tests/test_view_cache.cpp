@@ -294,9 +294,10 @@ TEST(ViewKeyBuilder, GatesOffRunGlobalCouplings) {
     with_faults.faults = &plan;
     EXPECT_FALSE(ViewKeyBuilder(verifier, g, id, with_faults).cacheable());
 
+    // A deadline can only abort a run, and aborted runs are never cached.
     ExecutionOptions with_deadline;
     with_deadline.deadline_ms = 1000;
-    EXPECT_FALSE(ViewKeyBuilder(verifier, g, id, with_deadline).cacheable());
+    EXPECT_TRUE(ViewKeyBuilder(verifier, g, id, with_deadline).cacheable());
 
     ExecutionOptions with_byte_cap;
     with_byte_cap.max_total_message_bytes = 1 << 20;
@@ -435,6 +436,34 @@ TEST(CacheSoundness, SharedCacheAcrossInstancesReusesAndStaysSound) {
     EXPECT_EQ(second.machine_runs, even_off.machine_runs);
     EXPECT_TRUE(second.witness.has_value() && even_off.witness.has_value() &&
                 *second.witness == *even_off.witness);
+}
+
+TEST(CacheSoundness, ResolveUnderADeadlineHitsTheSharedCache) {
+    // Clean completed runs under a deadline are as cacheable as without
+    // one: a re-solve under a generous deadline is served from the views
+    // the first solve inserted, with the cache-off verdict and counters.
+    const ColoringVerifier verifier(2);
+    const ColorDomain domain(verifier);
+    const LabeledGraph g = cycle_graph(9, "1");
+    const auto id = make_global_ids(g);
+    ViewCache shared(1 << 20);
+
+    GameOptions deadline;
+    deadline.view_cache = &shared;
+    deadline.exec.deadline_ms = 60000;
+    const GameResult first =
+        play_game(coloring_spec(verifier, domain), g, id, deadline);
+    EXPECT_GT(first.stats.node_cache_misses, 0u);
+    const GameResult again =
+        play_game(coloring_spec(verifier, domain), g, id, deadline);
+    EXPECT_GT(again.stats.node_cache_hits, 0u);
+
+    GameOptions off;
+    off.memoize_views = false;
+    const GameResult reference =
+        play_game(coloring_spec(verifier, domain), g, id, off);
+    EXPECT_EQ(again.accepted, reference.accepted);
+    EXPECT_EQ(again.machine_runs, reference.machine_runs);
 }
 
 TEST(CacheSoundness, TinyCacheThrashesButStaysCorrect) {

@@ -192,12 +192,6 @@ service::Request make_request(service::RequestType type, long id) {
     return request;
 }
 
-void attach_graph(service::Request& request, const LabeledGraph& g) {
-    request.has_graph = true;
-    request.graph = g;
-    request.canonical_graph = graph_to_text(g);
-}
-
 /// The query fields every game and graph_patch line of --patch carries.
 void set_query(service::Request& request, const std::string& machine,
                int layers, const std::string& ids) {
@@ -246,7 +240,7 @@ int generate(long count, std::uint64_t seed) {
             if (request.formula == "random") {
                 request.fseed = splitmix64_next(state) % 64;
             }
-            attach_graph(request, graph);
+            request.attach_graph(graph);
             break;
         case 6:
         case 7:
@@ -254,7 +248,7 @@ int generate(long count, std::uint64_t seed) {
             request = make_request(RequestType::Decide, i);
             request.problem = problems[splitmix64_next(state) % problems.size()];
             request.k = static_cast<int>(2 + splitmix64_next(state) % 3);
-            attach_graph(request, graph);
+            request.attach_graph(graph);
             break;
         default: {
             request = make_request(RequestType::Game, i);
@@ -263,7 +257,7 @@ int generate(long count, std::uint64_t seed) {
             const bool decider = machine == "allsel" || machine == "eulerian";
             set_query(request, machine, decider ? 0 : 1,
                       splitmix64_next(state) % 2 ? "global" : "local");
-            attach_graph(request, graph);
+            request.attach_graph(graph);
             break;
         }
         }
@@ -282,7 +276,7 @@ int generate_eval(const std::string& formula, long count, std::uint64_t seed) {
     for (long i = 0; i < count; ++i) {
         service::Request request = make_request(service::RequestType::Eval, i);
         request.eval_text = formula;
-        attach_graph(request, graphs[splitmix64_next(state) % graphs.size()]);
+        request.attach_graph(graphs[splitmix64_next(state) % graphs.size()]);
         std::cout << request.to_json() << "\n";
     }
     return 0;
@@ -326,7 +320,7 @@ int generate_patch(long count, std::uint64_t seed, bool golden) {
     if (!golden) {
         service::Request reg =
             make_request(service::RequestType::GraphRegister, 0);
-        attach_graph(reg, mirror);
+        reg.attach_graph(mirror);
         std::cout << reg.to_json() << "\n";
     }
 
@@ -416,7 +410,7 @@ int generate_patch(long count, std::uint64_t seed, bool golden) {
             i);
         set_query(request, machine, layers, "global");
         if (golden) {
-            attach_graph(request, mirror);
+            request.attach_graph(mirror);
         } else {
             request.has_ref_digest = true;
             request.ref_digest = ref;
