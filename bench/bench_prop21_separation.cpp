@@ -90,10 +90,8 @@ void BM_CompiledSpeedup_OddCycleCertificates(benchmark::State& state) {
     spec.machine = &verifier;
     spec.layers = {&colors};
     spec.starts_existential = true;
-    GameOptions compiled;
-    compiled.backend = GameBackend::Compiled;
     for (auto _ : state) {
-        sink(play_game(spec, g, id, compiled).accepted);
+        sink(play_game(spec, g, id).accepted); // the default backend: the store
     }
     record_compiled_speedup("BM_CompiledSpeedup_OddCycleCertificates",
                             "odd_cycle_n=" + std::to_string(n), spec, g, id);
@@ -116,10 +114,8 @@ void BM_CompiledSpeedup_PeriodicIdOrbits(benchmark::State& state) {
     spec.machine = &verifier;
     spec.layers = {&colors};
     spec.starts_existential = true;
-    GameOptions compiled;
-    compiled.backend = GameBackend::Compiled;
     for (auto _ : state) {
-        sink(play_game(spec, g, id, compiled).accepted);
+        sink(play_game(spec, g, id).accepted); // the default backend: the store
     }
     record_compiled_speedup("BM_CompiledSpeedup_PeriodicIdOrbits",
                             "even_cycle_n=14_period=7", spec, g, id);

@@ -117,10 +117,8 @@ void BM_CompiledSpeedup_TwoColorableGame(benchmark::State& state) {
     spec.machine = &verifier;
     spec.layers = {&colors};
     spec.starts_existential = true;
-    GameOptions compiled;
-    compiled.backend = GameBackend::Compiled;
     for (auto _ : state) {
-        sink(play_game(spec, g, id, compiled).accepted);
+        sink(play_game(spec, g, id).accepted); // the default backend: the store
     }
     record_compiled_speedup("BM_CompiledSpeedup_TwoColorableGame",
                             "odd_cycle_n=" + std::to_string(n), spec, g, id);

@@ -33,8 +33,41 @@ python3 scripts/trace_lint.py build/trace_fuzz.json
 ./build/tools/lph_client --generate 320 --seed 7 \
     | ./build/tools/lphd --pipe --threads 4 --queue-cap 512 \
         --trace=build/trace_lphd.json \
+    | tee build/smoke_replies.jsonl \
     | ./build/tools/lph_client --verify --expect 320
 python3 scripts/trace_lint.py build/trace_lphd.json
+
+# Backend parity on the wire: the same stream with every game line forced to
+# the reference interpreter must give the default replies' verdicts
+# (--against exits nonzero on any mismatch).
+./build/tools/lph_client --generate 320 --seed 7 \
+    | sed 's/"type":"game",/"type":"game","backend":"interpreted",/' \
+    | ./build/tools/lphd --pipe --threads 4 --queue-cap 512 \
+        > build/smoke_interpreted.jsonl
+./build/tools/lph_client --verify --expect 320 \
+    --against build/smoke_replies.jsonl < build/smoke_interpreted.jsonl \
+    2> build/smoke_parity.log
+cat build/smoke_parity.log
+grep -q ' 0 mismatched' build/smoke_parity.log \
+    || { echo "backend parity smoke: verdicts differ"; exit 1; }
+
+# Formula requests honour their deadline: 2-colourability of an 11-cycle
+# enumerates for seconds, so with "deadline_ms":50 the daemon must answer
+# DeadlineExceeded, and within 250 ms.
+python3 - <<'EOF'
+import json, subprocess, time
+edges = "".join("edge %d %d\\n" % (v, (v + 1) % 11) for v in range(11))
+line = ('{"type":"logic","id":1,"formula":"two_colorable","deadline_ms":50,'
+        '"graph":"graph 11\\n%s"}\n' % edges)
+start = time.monotonic()
+out = subprocess.run(["./build/tools/lphd", "--pipe", "--threads", "1"],
+                     input=line, capture_output=True, text=True, check=True)
+elapsed_ms = 1000 * (time.monotonic() - start)
+reply = json.loads(out.stdout.splitlines()[0])
+assert reply.get("error") == "DeadlineExceeded", reply
+assert elapsed_ms < 250, "deadline smoke took %.0f ms" % elapsed_ms
+print("deadline smoke: DeadlineExceeded after %.0f ms" % elapsed_ms)
+EOF
 
 # Incremental-serving smoke: a seeded patch storm (graph_register + chained
 # graph_patch re-queries over resident graphs) served with dirty-ball

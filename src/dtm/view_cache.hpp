@@ -130,7 +130,7 @@ std::vector<int> bounded_distances(const LabeledGraph& g, NodeId u, int radius);
 // (shortest paths between ball nodes stay inside the ball).  Hence a clean,
 // completed run of the machine on a node's induced ball yields exactly the
 // output the full-graph run gives that node.  The view-cache keys, the
-// compiled game core's tables, the engine's partial leaves and the serving
+// engine's per-ball store (its tables and ball runs) and the serving
 // layer's dirty-ball recomputation all rest on this fact; the helpers below
 // are its one implementation.
 

@@ -1,39 +1,46 @@
 #pragma once
 
-#include "dtm/execution.hpp"
+#include "dtm/view_cache.hpp"
 #include "hierarchy/game.hpp"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 namespace lph {
 
-/// One machine's per-view behaviour, compiled to flat decision tables.
+/// One machine's per-view verdicts, memoized in flat per-class tables that
+/// the solve fills as it visits them.
 ///
-/// For every node u the game engine ultimately needs one bit per leaf: does
-/// u output "1" after a clean run?  By the locality invariant the view cache
-/// already relies on (DESIGN.md "Parallel certificate-game engine"), that
-/// bit is a function of u's canonical attributed R-ball plus the certificate
-/// lists of u's *cert members* (the nodes within R-1).  compile() therefore:
+/// By the ball rule (dtm/view_cache.hpp) node u's clean-run verdict is a
+/// function of its canonical attributed R-ball plus the certificate lists of
+/// its *cert members* (the nodes within R-1).  compile() only classifies: it
+/// groups nodes into *view classes* (equal ViewKeyBuilder static prefix and
+/// equal per-member per-layer option lists imply the same decision
+/// function, so one table serves the whole orbit) and lays out one table per
+/// class, indexed by *configuration* (one mixed-radix digit per (member,
+/// layer) option choice), every entry Unfilled.  It runs no machine.
 ///
-///  1. groups nodes into *view classes* — equal ViewKeyBuilder static prefix
-///     and equal per-member per-layer option lists imply the same decision
-///     function, so one table serves the whole orbit;
-///  2. fills each class's table by running the machine on the class
-///     representative's induced R-ball once per *configuration* (one
-///     mixed-radix digit per (member, layer) option choice), recording
-///     Accept / Reject for clean completed runs and Unknown otherwise;
-///  3. exposes the tables as packed bitsets (one known bit + one accept bit
-///     per configuration) so the solver can AND 64 leaves per instruction.
-///
-/// Unknown entries (faulting, incomplete, or over-budget configurations)
-/// make the solver fall back to the interpreted whole-graph run for that
-/// leaf, which keeps the deterministic counters (machine_runs, faulted_runs,
-/// probe_faults) bit-identical to the interpreted engine.
+/// The solver fills an entry the first time a leaf needs it (from the
+/// ViewCache, an induced-ball run or a full-graph run) and serves later
+/// visits from the table, 64 leaves per word on the packed path.  Entries
+/// are atomic 2-bit codes, so workers fill them without locks; entries are
+/// deterministic, so a race only repeats work.  A class past the per-class
+/// or total configuration budget gets no table and memoizes through the
+/// ViewCache alone.
 class CompiledGameCore {
 public:
-    /// Flat decision table of one view class.  Configurations are indexed in
+    /// One entry's state.  Codes combine by bitwise OR, so conflicting
+    /// writes collapse into Unknown, the state that always re-runs.
+    enum class Entry : std::uint8_t {
+        Unfilled = 0,
+        Reject = 1,
+        Accept = 2,
+        Unknown = 3, ///< no clean ball run exists: the leaf runs in full
+    };
+
+    /// Layout of one view class's table.  Configurations are indexed in
     /// mixed radix over the (member, layer) digits: digit (j, l) has radix
     /// sizes[j * layers + l] and stride strides[j * layers + l], with
     /// (j=0, l=0) the fastest-running digit.
@@ -41,11 +48,9 @@ public:
         std::vector<std::uint32_t> sizes;
         std::vector<std::uint64_t> strides;
         std::uint64_t configs = 0;
-        bool filled = false; ///< false = over budget, every entry Unknown
-        std::vector<std::uint64_t> known;  ///< bitset over configs
-        std::vector<std::uint64_t> accept; ///< bitset over configs
-        std::uint64_t members = 0;         ///< orbit cardinality
-        NodeId representative = 0;
+        bool dense = false;          ///< false = over budget, no table
+        std::uint64_t first_word = 0; ///< offset into the entry store
+        std::uint64_t members = 0;   ///< orbit cardinality
     };
 
     struct NodeTable {
@@ -56,19 +61,18 @@ public:
         std::vector<NodeId> members;
     };
 
-    /// Compiles the machine's per-view behaviour for one (spec, tables,
-    /// graph, identifiers, exec) context, or returns nullptr when the
-    /// context is not compilable — the exact conditions under which the view
-    /// cache refuses to cache (fault plans, byte caps, ids that are not
-    /// locally unique), plus leaf-only games.  With `profitable_only` it
-    /// also returns nullptr when the profitability gate declines (see
-    /// GameBackend::Auto).  A view class past the per-class or total
-    /// configuration budget stays all-Unknown, so the budgets only ever
-    /// cost performance.
+    /// Classifies one (spec, tables, graph, identifiers, exec) context, or
+    /// returns nullptr when the context is not memoizable — the exact
+    /// conditions under which the view cache refuses to cache (fault plans,
+    /// byte caps, ids that are not locally unique), plus leaf-only games.
     static std::unique_ptr<CompiledGameCore>
     compile(const GameSpec& spec, const GameTables& tables,
             const LabeledGraph& g, const IdentifierAssignment& id,
-            const ExecutionOptions& exec, bool profitable_only);
+            const ExecutionOptions& exec);
+
+    /// The context's one key builder: the ViewCache keys of the solves that
+    /// use this core.
+    const ViewKeyBuilder& keys() const { return keys_; }
 
     const std::vector<ClassTable>& classes() const { return classes_; }
     const std::vector<NodeTable>& nodes() const { return nodes_; }
@@ -79,34 +83,35 @@ public:
         return affected_;
     }
 
-    int radius() const { return radius_; }
-    std::size_t layers() const { return layers_; }
-
-    /// Looks up one entry; returns false for Unknown (accept_out untouched).
-    bool entry(std::uint32_t cls, std::uint64_t config, bool& accept_out) const {
+    /// Reads one entry (Unfilled for classes without a table).
+    Entry entry(std::uint32_t cls, std::uint64_t config) const {
         const ClassTable& table = classes_[cls];
-        if (!table.filled) {
-            return false;
+        if (!table.dense) {
+            return Entry::Unfilled;
         }
-        const std::uint64_t word = config >> 6;
-        const std::uint64_t bit = config & 63;
-        if (((table.known[word] >> bit) & 1) == 0) {
-            return false;
-        }
-        accept_out = ((table.accept[word] >> bit) & 1) != 0;
-        return true;
+        const std::uint64_t word =
+            store_[table.first_word + (config >> 5)].load(
+                std::memory_order_relaxed);
+        return static_cast<Entry>((word >> ((config & 31) * 2)) & 3);
     }
 
-    /// Nodes served by a class another node already paid to compile
+    /// Records one entry (no-op for classes without a table).
+    void fill(std::uint32_t cls, std::uint64_t config, Entry value) const {
+        const ClassTable& table = classes_[cls];
+        if (table.dense) {
+            store_[table.first_word + (config >> 5)].fetch_or(
+                static_cast<std::uint64_t>(value) << ((config & 31) * 2),
+                std::memory_order_relaxed);
+        }
+    }
+
+    /// Nodes served by a class another node already laid out
     /// (sum over classes of |orbit| - 1).
     std::uint64_t orbit_hits() const { return orbit_hits_; }
+    /// Sum over classes of |orbit| x configurations: the ball runs an eager
+    /// fill of every table would pay, orbit sharing aside.
     std::uint64_t table_entries() const { return table_entries_; }
-    std::uint64_t unknown_entries() const { return unknown_entries_; }
     double compile_ms() const { return compile_ms_; }
-
-    /// True when every entry of every class is decided — the solver never
-    /// needs the interpreted fallback for this context.
-    bool fully_known() const { return unknown_entries_ == 0; }
 
     /// Exhaustive leaf count with per-orbit contributions multiplied out:
     /// the product over classes of (the representative's per-layer option
@@ -114,15 +119,18 @@ public:
     /// like GameTables::tree_size(), and equals it bit for bit.
     std::uint64_t tree_size() const;
 
+    explicit CompiledGameCore(ViewKeyBuilder keys) : keys_(std::move(keys)) {}
+
 private:
+    ViewKeyBuilder keys_;
     std::vector<ClassTable> classes_;
     std::vector<NodeTable> nodes_;
     std::vector<std::vector<NodeId>> affected_;
-    int radius_ = 0;
+    /// 32 two-bit entries per word; mutable because filling is memoization.
+    mutable std::vector<std::atomic<std::uint64_t>> store_;
     std::size_t layers_ = 0;
     std::uint64_t orbit_hits_ = 0;
     std::uint64_t table_entries_ = 0;
-    std::uint64_t unknown_entries_ = 0;
     double compile_ms_ = 0;
 };
 

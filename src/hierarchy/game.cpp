@@ -15,7 +15,6 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <unordered_map>
 
 namespace lph {
 
@@ -37,8 +36,8 @@ constexpr std::uint64_t kNoTerminal = std::numeric_limits<std::uint64_t>::max();
 constexpr std::size_t kMaxRecordedFaults = 64;
 constexpr std::uint64_t kChunksPerWorker = 8;
 /// Cap on the packed low-block width (leaves per pattern rebuild).  A single
-/// node whose option list alone exceeds this also blows the per-class compile
-/// budget, so nothing real is lost by falling back wholesale.
+/// node whose option list alone exceeds this also blows the per-class table
+/// budget, so past it the store serves leaves one at a time.
 constexpr std::uint64_t kMaxBlockLeaves = std::uint64_t{1} << 16;
 
 std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
@@ -56,8 +55,8 @@ double elapsed_ms(Clock::time_point start) {
 
 } // namespace
 
-/// Lazily-built compiled core, cached on the tables so a whole batch flavor
-/// pays one compilation (or one declined gate).  Lives behind a shared_ptr so
+/// Lazily-built per-ball store, cached on the tables so a whole batch flavor
+/// classifies once and fills one store.  Lives behind a shared_ptr so
 /// GameTables stays movable (std::mutex is not).
 struct GameTables::CompiledSlot {
     std::mutex mutex;
@@ -68,19 +67,17 @@ struct GameTables::CompiledSlot {
 
 namespace {
 
-/// The execution-option fields a compiled table's entries depend on (plus
-/// the machine identity, the compilability gates and whether the
-/// profitability gate applies).  on_violation and the wall-clock deadline are
-/// deliberately absent: tables only ever hold clean, completed runs, which
-/// neither the violation policy nor timing can change.
-std::string compile_signature(const GameSpec& spec, const ExecutionOptions& exec,
-                              bool profitable_only) {
+/// The execution-option fields a store's entries depend on (plus the machine
+/// identity and the memoizability gates).  on_violation and the wall-clock
+/// deadline are deliberately absent: tables only ever hold clean, completed
+/// runs, which neither the violation policy nor timing can change.
+std::string compile_signature(const GameSpec& spec, const ExecutionOptions& exec) {
     std::ostringstream sig;
     sig << static_cast<const void*>(spec.machine) << '|' << exec.max_rounds
         << '|' << exec.max_steps_per_round << '|'
         << exec.enforce_declared_bounds << '|' << exec.max_space_per_node
         << '|' << exec.validate_certificates << '|' << (exec.faults != nullptr)
-        << '|' << (exec.max_total_message_bytes > 0) << '|' << profitable_only;
+        << '|' << (exec.max_total_message_bytes > 0);
     return sig.str();
 }
 
@@ -90,18 +87,16 @@ const CompiledGameCore* GameTables::compiled(const GameSpec& spec,
                                              const LabeledGraph& g,
                                              const IdentifierAssignment& id,
                                              const ExecutionOptions& exec,
-                                             double* built_now_ms,
-                                             bool profitable_only) const {
+                                             double* built_now_ms) const {
     if (built_now_ms != nullptr) {
         *built_now_ms = 0;
     }
-    const std::string signature = compile_signature(spec, exec, profitable_only);
+    const std::string signature = compile_signature(spec, exec);
     const std::lock_guard<std::mutex> lock(slot_->mutex);
     if (slot_->attempted && slot_->signature == signature) {
         return slot_->core.get();
     }
-    auto fresh =
-        CompiledGameCore::compile(spec, *this, g, id, exec, profitable_only);
+    auto fresh = CompiledGameCore::compile(spec, *this, g, id, exec);
     if (fresh != nullptr) {
         if (built_now_ms != nullptr) {
             *built_now_ms = fresh->compile_ms();
@@ -181,9 +176,9 @@ struct ChunkOutcome {
 /// for every node, the configuration contribution of all digits outside the
 /// low block ("base") and the node's known/accept pattern words over the low
 /// block.  Patterns are rebuilt lazily: a digit change dirties exactly the
-/// nodes whose cert ball contains the changed position (the compiled core's
-/// affected lists), so most patterns survive across blocks and across inner
-/// scans.
+/// nodes whose cert ball contains the changed position (the store's
+/// affected lists), and a leaf that fills entries dirties the nodes that did
+/// not know it, so most patterns survive across blocks and inner scans.
 struct PackedState {
     bool ready = false;
     std::vector<std::uint64_t> base;    ///< per node
@@ -200,6 +195,7 @@ struct WorkerContext {
     Tally tally;
     std::string key_scratch;
     std::vector<NodeId> miss_scratch;
+    std::vector<std::uint64_t> configs; ///< per node, the current leaf's entry
     PackedState packed;
     // Perf counters (accumulated across this worker's chunks).
     std::uint64_t leaves_processed = 0;
@@ -208,7 +204,6 @@ struct WorkerContext {
     std::uint64_t packed_words = 0;
     std::uint64_t partial_leaf_evals = 0;
     std::uint64_t ball_runs = 0;
-    std::uint64_t partial_fallbacks = 0;
 
     void ensure(std::size_t layers, std::size_t n) {
         if (chosen.size() != layers) {
@@ -220,6 +215,8 @@ struct WorkerContext {
 };
 
 class GameSolver {
+    using Entry = CompiledGameCore::Entry;
+
 public:
     GameSolver(const GameSpec& spec, const GameTables& tables,
                const LabeledGraph& g, const IdentifierAssignment& id,
@@ -232,30 +229,27 @@ public:
             check(tables.layer_product(i) <= options.max_assignments_per_layer,
                   "play_game: layer assignment space exceeds the guard");
         }
-        if (options.backend != GameBackend::Interpreted && tables.layers() > 0) {
+        if (options.memoize_views && options.backend == GameBackend::Compiled &&
+            tables.layers() > 0) {
             compiled_ = tables.compiled(spec, g, id, options.exec,
-                                        &compile_ms_paid_,
-                                        options.backend == GameBackend::Auto);
+                                        &compile_ms_paid_);
         }
         if (compiled_ != nullptr) {
+            keys_ = &compiled_->keys();
             setup_packing();
+            balls_.resize(g.num_nodes());
+        } else if (options.memoize_views) {
+            owned_keys_ = std::make_unique<ViewKeyBuilder>(*spec.machine, g, id,
+                                                           options.exec);
+            keys_ = owned_keys_->cacheable() ? owned_keys_.get() : nullptr;
         }
-        // The compiled tables replace the view cache (both serve the same
-        // per-view verdicts); fallback leaves run the plain interpreter.
-        if (compiled_ == nullptr && options.memoize_views) {
-            keys_ = std::make_unique<ViewKeyBuilder>(*spec.machine, g, id,
-                                                     options.exec);
-            if (!keys_->cacheable()) {
-                keys_.reset();
-            } else if (options.view_cache != nullptr) {
-                cache_ = options.view_cache;
-            } else {
-                owned_cache_ =
-                    std::make_unique<ViewCache>(options.view_cache_entries);
+        if (keys_ != nullptr) {
+            cache_ = options.view_cache;
+            if (cache_ == nullptr) {
+                owned_cache_ = std::make_unique<ViewCache>(options.view_cache_entries);
                 cache_ = owned_cache_.get();
             }
         }
-        partial_ = cache_ != nullptr && options.partial_leaves;
     }
 
     GameResult run() {
@@ -334,15 +328,17 @@ private:
     // consecutive assignments, and every node keeps a bitset pattern (one
     // known bit + one accept bit per block offset) derived from its class
     // table.  ANDing the per-node pattern words answers 64 leaves at once;
-    // Unknown bits fall back to the interpreted per-leaf run, which keeps the
-    // deterministic counters and fault records bit-identical to the scalar
-    // engine.  Patterns depend only on the digits *outside* the low block
-    // (folded into a per-node base index), so they survive across blocks and
-    // are rebuilt only for nodes whose cert ball saw a digit change.
+    // a leaf some node does not know yet takes the scalar store path
+    // (evaluate_leaf), which fills the missing entries and keeps the
+    // deterministic counters and fault records bit-identical to the
+    // interpreted engine.  Patterns depend only on the digits *outside* the
+    // low block (folded into a per-node base index), so they survive across
+    // blocks and are rebuilt only for nodes whose cert ball saw a digit
+    // change or whose entries just filled.
 
     /// Chooses the low block for the deepest layer and precomputes each
-    /// node's per-low-digit strides.  Disables the compiled core when a
-    /// single node's options exceed the block cap.
+    /// node's per-low-digit strides.  Leaves packing off when a single
+    /// node's options exceed the block cap.
     void setup_packing() {
         deepest_ = tables_.layers() - 1;
         const auto& table = tables_.layer(deepest_);
@@ -354,10 +350,9 @@ private:
             ++low_count_;
         }
         if (block_ > kMaxBlockLeaves) {
-            compiled_ = nullptr;
-            compile_ms_paid_ = 0;
             return;
         }
+        packed_ = true;
         words_ = static_cast<std::size_t>((block_ + 63) / 64);
         const std::size_t layers = tables_.layers();
         low_strides_.assign(n * low_count_, 0);
@@ -380,7 +375,7 @@ private:
     /// needing a base + pattern rebuild.  No-op until the worker's packed
     /// state exists (initialization computes everything anyway).
     void mark_affected(NodeId v, WorkerContext& ctx) const {
-        if (compiled_ == nullptr || !ctx.packed.ready) {
+        if (!packed_ || !ctx.packed.ready) {
             return;
         }
         for (const NodeId u : compiled_->affected()[v]) {
@@ -402,24 +397,42 @@ private:
         ps.ready = true;
     }
 
-    /// u's configuration index with all low-block digits at zero: the sum of
-    /// every other (member, layer) digit times its stride.
-    std::uint64_t base_for(NodeId u, const WorkerContext& ctx) const {
+    /// u's configuration index under the worker's current digits: the sum
+    /// of every (member, layer) digit times its stride, with the low-block
+    /// digits left out (taken as zero) when `skip_low`.  0 for classes
+    /// without a table.
+    std::uint64_t config_for(NodeId u, const WorkerContext& ctx,
+                             bool skip_low) const {
         const auto& node = compiled_->nodes()[u];
         const auto& cls = compiled_->classes()[node.cls];
+        if (!cls.dense) {
+            return 0;
+        }
         const std::size_t layers = tables_.layers();
-        std::uint64_t base = 0;
+        std::uint64_t config = 0;
         for (std::size_t j = 0; j < node.members.size(); ++j) {
             const NodeId m = node.members[j];
             for (std::size_t l = 0; l < layers; ++l) {
-                if (l == deepest_ && m < low_count_) {
+                if (skip_low && l == deepest_ && m < low_count_) {
                     continue;
                 }
-                base += static_cast<std::uint64_t>(ctx.idx[l][m]) *
-                        cls.strides[j * layers + l];
+                config += static_cast<std::uint64_t>(ctx.idx[l][m]) *
+                          cls.strides[j * layers + l];
             }
         }
-        return base;
+        return config;
+    }
+
+    /// Rebuilds the base and pattern of every dirty node.
+    void refresh_patterns(WorkerContext& ctx) const {
+        PackedState& ps = ctx.packed;
+        for (NodeId u = 0; u < g_.num_nodes(); ++u) {
+            if (ps.dirty[u]) {
+                ps.base[u] = config_for(u, ctx, /*skip_low=*/true);
+                rebuild_pattern(u, ctx);
+                ps.dirty[u] = 0;
+            }
+        }
     }
 
     /// Recomputes u's known/accept pattern words over the low block from its
@@ -430,13 +443,14 @@ private:
         std::uint64_t* known = ps.known.data() + u * words_;
         std::uint64_t* accept = ps.accept.data() + u * words_;
         const std::uint32_t cls = compiled_->nodes()[u].cls;
-        if (!has_low_[u]) {
-            // No cert member inside the low block: one entry answers the
-            // whole block.
-            bool acc = false;
-            const bool k = compiled_->entry(cls, ps.base[u], acc);
+        if (!compiled_->classes()[cls].dense || !has_low_[u]) {
+            // No table, or no cert member inside the low block: one entry
+            // answers the whole block.
+            const Entry e = compiled_->entry(cls, ps.base[u]);
+            const bool k = e == Entry::Accept || e == Entry::Reject;
             std::fill(known, known + words_, k ? ~std::uint64_t{0} : 0);
-            std::fill(accept, accept + words_, k && acc ? ~std::uint64_t{0} : 0);
+            std::fill(accept, accept + words_,
+                      e == Entry::Accept ? ~std::uint64_t{0} : 0);
             return;
         }
         const std::uint64_t* strides = low_strides_.data() + u * low_count_;
@@ -446,10 +460,10 @@ private:
         std::fill(ps.low_digits.begin(), ps.low_digits.end(), 0);
         std::uint64_t config = ps.base[u];
         for (std::uint64_t o = 0;; ++o) {
-            bool acc = false;
-            if (compiled_->entry(cls, config, acc)) {
+            const Entry e = compiled_->entry(cls, config);
+            if (e == Entry::Accept || e == Entry::Reject) {
                 known[o >> 6] |= std::uint64_t{1} << (o & 63);
-                if (acc) {
+                if (e == Entry::Accept) {
                     accept[o >> 6] |= std::uint64_t{1} << (o & 63);
                 }
             }
@@ -518,10 +532,11 @@ private:
     /// one whose leaf value equals `want`, 64 leaves per pattern word.
     /// Returns its index, or kNoTerminal when the range is exhausted (or,
     /// for outer scans, when a smaller terminal was already published).
-    /// Counters are bit-identical to the scalar scan: table-served leaves
-    /// count as leaf cache hits, Unknown leaves run the interpreter (and are
-    /// the only source of faults — table entries hold clean runs only).  On
-    /// a fallback throw, `*thrown_index` holds the leaf being evaluated.
+    /// Counters are bit-identical to the scalar scan: pattern-served leaves
+    /// count as leaf cache hits, and each leaf some node does not know takes
+    /// the scalar store path (the only source of faults — table entries hold
+    /// clean runs only).  On a throw, `*thrown_index` holds the leaf being
+    /// evaluated.
     std::uint64_t packed_scan(std::uint64_t begin, std::uint64_t end, bool want,
                               bool outer, WorkerContext& ctx,
                               std::uint64_t* thrown_index) {
@@ -542,70 +557,59 @@ private:
                              min_terminal_.load(std::memory_order_relaxed)) {
                 return kNoTerminal;
             }
-            for (NodeId u = 0; u < n; ++u) {
-                if (ps.dirty[u]) {
-                    ps.base[u] = base_for(u, ctx);
-                    rebuild_pattern(u, ctx);
-                    ps.dirty[u] = 0;
-                }
-            }
+            refresh_patterns(ctx);
             for (std::uint64_t w = bit_lo >> 6; (w << 6) < bit_hi; ++w) {
                 const std::uint64_t word_base = w << 6;
-                const unsigned lo_bit = static_cast<unsigned>(
+                unsigned lo_bit = static_cast<unsigned>(
                     bit_lo > word_base ? bit_lo - word_base : 0);
                 const unsigned hi_bit = static_cast<unsigned>(
                     std::min<std::uint64_t>(64, bit_hi - word_base));
-                std::uint64_t mask = hi_bit == 64
-                                         ? ~std::uint64_t{0}
-                                         : (std::uint64_t{1} << hi_bit) - 1;
-                mask &= ~((std::uint64_t{1} << lo_bit) - 1);
+                while (lo_bit < hi_bit) {
+                    std::uint64_t kword = ~std::uint64_t{0};
+                    std::uint64_t aword = ~std::uint64_t{0};
+                    for (NodeId u = 0; u < n; ++u) {
+                        kword &= ps.known[u * words_ + w];
+                        aword &= ps.accept[u * words_ + w];
+                    }
+                    ctx.packed_words += n;
 
-                std::uint64_t kword = ~std::uint64_t{0};
-                std::uint64_t aword = ~std::uint64_t{0};
-                for (NodeId u = 0; u < n; ++u) {
-                    kword &= ps.known[u * words_ + w];
-                    aword &= ps.accept[u * words_ + w];
-                }
-                ctx.packed_words += n;
-
-                if ((kword & mask) == mask) {
-                    // Every leaf in range is table-decided: one AND answers
-                    // them all.  A leaf accepts iff every node accepts.
-                    const std::uint64_t match = (want ? aword : ~aword) & mask;
+                    // The leaves before the first one some node does not
+                    // know are answered by the AND: a leaf accepts iff every
+                    // node accepts.
+                    const std::uint64_t unknown =
+                        ~kword & bits_between(lo_bit, hi_bit);
+                    const unsigned stop =
+                        unknown != 0
+                            ? static_cast<unsigned>(std::countr_zero(unknown))
+                            : hi_bit;
+                    const std::uint64_t match =
+                        (want ? aword : ~aword) & bits_between(lo_bit, stop);
                     if (match != 0) {
                         const unsigned pos =
                             static_cast<unsigned>(std::countr_zero(match));
-                        const std::uint64_t probed = pos - lo_bit + 1;
-                        ctx.tally.machine_runs += probed;
-                        ctx.leaves_processed += probed;
-                        ctx.leaf_cache_hits += probed;
+                        count_pattern_leaves(pos - lo_bit + 1, ctx);
                         return block_first + word_base + pos;
                     }
-                    const std::uint64_t probed = hi_bit - lo_bit;
-                    ctx.tally.machine_runs += probed;
-                    ctx.leaves_processed += probed;
-                    ctx.leaf_cache_hits += probed;
-                    continue;
-                }
-                // Mixed word: walk bits in order, falling back to the
-                // interpreter on Unknown entries.
-                for (unsigned b = lo_bit; b < hi_bit; ++b) {
-                    const std::uint64_t a = block_first + word_base + b;
-                    if ((kword >> b) & 1) {
-                        ++ctx.tally.machine_runs;
-                        ++ctx.leaves_processed;
-                        ++ctx.leaf_cache_hits;
-                        if ((((aword >> b) & 1) != 0) == want) {
-                            return a;
-                        }
-                        continue;
+                    count_pattern_leaves(stop - lo_bit, ctx);
+                    if (stop == hi_bit) {
+                        break;
                     }
+                    const std::uint64_t a = block_first + word_base + stop;
                     if (thrown_index != nullptr) {
                         *thrown_index = a;
                     }
                     if (materialize_packed_leaf(a - block_first, ctx) == want) {
                         return a;
                     }
+                    // The leaf filled entries (and other workers may have):
+                    // rebuild the nodes that did not know it.
+                    for (NodeId u = 0; u < n; ++u) {
+                        if (((ps.known[u * words_ + w] >> stop) & 1) == 0) {
+                            ps.dirty[u] = 1;
+                        }
+                    }
+                    refresh_patterns(ctx);
+                    lo_bit = stop + 1;
                 }
             }
             block_first += block_;
@@ -616,35 +620,44 @@ private:
         return kNoTerminal;
     }
 
+    /// The bits [lo, hi) of a word (lo <= hi <= 64).
+    static std::uint64_t bits_between(unsigned lo, unsigned hi) {
+        const std::uint64_t below_hi =
+            hi == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1;
+        return below_hi & ~((std::uint64_t{1} << lo) - 1);
+    }
+
+    static void count_pattern_leaves(std::uint64_t leaves, WorkerContext& ctx) {
+        ctx.tally.machine_runs += leaves;
+        ctx.leaves_processed += leaves;
+        ctx.leaf_cache_hits += leaves;
+    }
+
     // --- Leaf evaluation with locality-aware memoization. -----------------
 
     /// Evaluates one leaf of the game tree.  Under tolerate_faults a probe
     /// that cannot finish cleanly is a recorded loss, not a process abort.
-    /// With the view cache on, a leaf all of whose node views were verdicted
-    /// by an earlier clean run short-circuits without touching the machine;
-    /// faulting leaves never enter the cache, so the deterministic counters
-    /// (machine_runs, faulted_runs, probe_faults) are cache-independent.
+    /// A leaf all of whose node verdicts are memoized (in the store or, on
+    /// the interpreted path, the view cache) short-circuits without a
+    /// full-graph run; faulting runs are never memoized, so the
+    /// deterministic counters (machine_runs, faulted_runs, probe_faults) are
+    /// memo-independent.
     bool evaluate_leaf(WorkerContext& ctx) {
         ++ctx.tally.machine_runs;
         ++ctx.leaves_processed;
+        if (compiled_ != nullptr) {
+            return evaluate_stored_leaf(ctx);
+        }
         const auto list =
             CertificateListAssignment::concatenate(ctx.chosen, g_.num_nodes());
-
         if (cache_ != nullptr) {
             bool all_hit = true;
             bool all_accept = true;
-            ctx.miss_scratch.clear();
-            // With partial leaves on, keep scanning past the first miss: the
-            // complete miss set is what the ball runs need.
-            for (NodeId u = 0; u < g_.num_nodes() && (all_hit || partial_);
-                 ++u) {
+            for (NodeId u = 0; u < g_.num_nodes() && all_hit; ++u) {
                 keys_->key_for(u, list, ctx.key_scratch);
                 const auto verdict = cache_->lookup(ctx.key_scratch);
                 if (!verdict.has_value()) {
                     all_hit = false;
-                    if (partial_) {
-                        ctx.miss_scratch.push_back(u);
-                    }
                 } else if (*verdict != "1") {
                     all_accept = false;
                 }
@@ -653,17 +666,71 @@ private:
                 ++ctx.leaf_cache_hits;
                 return all_accept;
             }
-            if (partial_) {
-                const std::optional<bool> value =
-                    evaluate_partial(list, all_accept, ctx);
-                if (value.has_value()) {
-                    ++ctx.partial_leaf_evals;
-                    return *value;
-                }
-                ++ctx.partial_fallbacks;
+        }
+        return run_full_leaf(list, ctx);
+    }
+
+    /// The store's leaf: each node's verdict comes from its class table;
+    /// the Unfilled ones from the view cache (see in_view_cache), then from
+    /// induced-ball runs when the missing balls together are smaller than
+    /// the graph.  An Unknown entry, an unclean ball run or balls as large
+    /// as the graph take the full-graph run.  Every clean verdict found on
+    /// the way is memoized.
+    bool evaluate_stored_leaf(WorkerContext& ctx) {
+        const std::size_t n = g_.num_nodes();
+        bool accept = true;
+        bool unknown = false;
+        ctx.miss_scratch.clear();
+        ctx.configs.resize(n);
+        for (NodeId u = 0; u < n; ++u) {
+            ctx.configs[u] = config_for(u, ctx, /*skip_low=*/false);
+            const Entry e = compiled_->entry(compiled_->nodes()[u].cls, ctx.configs[u]);
+            accept = accept && e != Entry::Reject;
+            unknown = unknown || e == Entry::Unknown;
+            if (e == Entry::Unfilled) {
+                ctx.miss_scratch.push_back(u);
             }
         }
+        if (!unknown && ctx.miss_scratch.empty()) {
+            ++ctx.leaf_cache_hits;
+            return accept;
+        }
+        const auto list = CertificateListAssignment::concatenate(ctx.chosen, n);
+        if (unknown) {
+            return run_full_leaf(list, ctx);
+        }
+        std::size_t missing = 0;
+        for (const NodeId u : ctx.miss_scratch) {
+            if (!in_view_cache(u)) {
+                ctx.miss_scratch[missing++] = u;
+                continue;
+            }
+            keys_->key_for(u, list, ctx.key_scratch);
+            const auto verdict = cache_->lookup(ctx.key_scratch);
+            if (!verdict.has_value()) {
+                ctx.miss_scratch[missing++] = u;
+                continue;
+            }
+            compiled_->fill(compiled_->nodes()[u].cls, ctx.configs[u],
+                            *verdict == "1" ? Entry::Accept : Entry::Reject);
+            accept = accept && *verdict == "1";
+        }
+        ctx.miss_scratch.resize(missing);
+        if (missing == 0) {
+            ++ctx.leaf_cache_hits;
+            return accept;
+        }
+        if (const std::optional<bool> value = evaluate_partial(list, accept, ctx)) {
+            ++ctx.partial_leaf_evals;
+            return *value;
+        }
+        return run_full_leaf(list, ctx);
+    }
 
+    /// One full-graph run of the leaf; a clean, completed one memoizes its
+    /// per-node verdicts (under the store, those of the still-Unfilled
+    /// entries).
+    bool run_full_leaf(const CertificateListAssignment& list, WorkerContext& ctx) {
         ExecutionOptions exec_options = options_.exec;
         if (options_.tolerate_faults &&
             exec_options.on_violation == FaultPolicy::Throw) {
@@ -684,8 +751,11 @@ private:
             // outputs reflect more rounds than the key's radius covers.
             if (cache_ != nullptr && exec.completed) {
                 for (NodeId u = 0; u < g_.num_nodes(); ++u) {
-                    keys_->key_for(u, list, ctx.key_scratch);
-                    cache_->insert(ctx.key_scratch, exec.outputs[u]);
+                    if (compiled_ == nullptr ||
+                        compiled_->entry(compiled_->nodes()[u].cls,
+                                         ctx.configs[u]) == Entry::Unfilled) {
+                        memoize(u, list, exec.outputs[u], ctx);
+                    }
                 }
             }
             return exec.accepted;
@@ -700,46 +770,59 @@ private:
         }
     }
 
+    /// Whether u's verdicts are memoized in the view cache: always on the
+    /// interpreted path; under the store, for classes without a table and
+    /// whenever the cache is the caller's (it outlives the solve).  A
+    /// private cache would only ever repeat what a table holds.
+    bool in_view_cache(NodeId u) const {
+        return compiled_ == nullptr || options_.view_cache != nullptr ||
+               !compiled_->classes()[compiled_->nodes()[u].cls].dense;
+    }
+
+    /// Writes one clean verdict to the store (when there is one) and the
+    /// view cache.
+    void memoize(NodeId u, const CertificateListAssignment& list,
+                 const std::string& verdict, WorkerContext& ctx) {
+        if (compiled_ != nullptr) {
+            compiled_->fill(compiled_->nodes()[u].cls, ctx.configs[u],
+                            verdict == "1" ? Entry::Accept : Entry::Reject);
+        }
+        if (in_view_cache(u)) {
+            keys_->key_for(u, list, ctx.key_scratch);
+            cache_->insert(ctx.key_scratch, verdict);
+        }
+    }
+
     /// The induced radius-R ball of u, built on first use and shared by
     /// every worker for the rest of the solve (the graph and identifiers
     /// are solve-constant; only certificates vary per leaf).
-    std::shared_ptr<const InducedBall> ball_for(NodeId u) {
-        {
-            const std::lock_guard<std::mutex> lock(ball_mutex_);
-            const auto it = balls_.find(u);
-            if (it != balls_.end()) {
-                return it->second;
-            }
-        }
-        auto ball = std::make_shared<const InducedBall>(
-            induced_ball(g_, id_, u, keys_->radius()));
+    const InducedBall& ball_for(NodeId u) {
         const std::lock_guard<std::mutex> lock(ball_mutex_);
-        return balls_.emplace(u, std::move(ball)).first->second;
+        if (balls_[u] == nullptr) {
+            balls_[u] = std::make_unique<const InducedBall>(
+                induced_ball(g_, id_, u, keys_->radius()));
+        }
+        return *balls_[u];
     }
 
     /// Attempts to finish a leaf from per-node induced-ball runs of the
-    /// cache-missing nodes (ctx.miss_scratch).  Returns the leaf value when
-    /// every ball run was clean and completed — then the full-graph run
-    /// would have been clean too, with identical per-node outputs (the ball
-    /// rule, dtm/view_cache.hpp) — and nullopt when any run was unclean or
-    /// the balls cover the whole graph anyway, demanding the ordinary full
-    /// evaluation.  Clean ball verdicts are inserted under the full-graph
-    /// keys, so the next leaf touching the same views hits outright.
+    /// missing nodes (ctx.miss_scratch).  Returns the leaf value when every
+    /// ball run was clean and completed — then the full-graph run would have
+    /// been clean too, with identical per-node outputs (the ball rule,
+    /// dtm/view_cache.hpp) — and nullopt when any run was unclean (its entry
+    /// becomes Unknown) or the balls cover the whole graph anyway, demanding
+    /// the full run.  Clean ball verdicts are memoized.
     std::optional<bool> evaluate_partial(const CertificateListAssignment& list,
                                          bool all_accept, WorkerContext& ctx) {
         std::size_t ball_total = 0;
-        std::vector<std::shared_ptr<const InducedBall>> balls;
-        balls.reserve(ctx.miss_scratch.size());
         for (const NodeId u : ctx.miss_scratch) {
-            balls.push_back(ball_for(u));
-            ball_total += balls.back()->sub.graph.num_nodes();
+            ball_total += ball_for(u).sub.graph.num_nodes();
         }
         if (ball_total >= g_.num_nodes()) {
             return std::nullopt; // the full run is no more expensive
         }
-        for (std::size_t i = 0; i < ctx.miss_scratch.size(); ++i) {
-            const NodeId u = ctx.miss_scratch[i];
-            const InducedBall& ball = *balls[i];
+        for (const NodeId u : ctx.miss_scratch) {
+            const InducedBall& ball = ball_for(u);
             const std::size_t sub_n = ball.sub.graph.num_nodes();
             std::vector<std::string> lists(sub_n);
             for (NodeId s = 0; s < sub_n; ++s) {
@@ -752,10 +835,11 @@ private:
                                                     spec_.layers.size()),
                 options_.exec);
             if (!verdict.has_value()) {
+                compiled_->fill(compiled_->nodes()[u].cls, ctx.configs[u],
+                                Entry::Unknown);
                 return std::nullopt;
             }
-            keys_->key_for(u, list, ctx.key_scratch);
-            cache_->insert(ctx.key_scratch, *verdict);
+            memoize(u, list, *verdict, ctx);
             if (*verdict != "1") {
                 all_accept = false;
             }
@@ -770,7 +854,7 @@ private:
             return evaluate_leaf(ctx);
         }
         const bool want = existential(layer);
-        if (compiled_ != nullptr && layer == deepest_) {
+        if (packed_ && layer == deepest_) {
             const std::uint64_t found = packed_scan(
                 0, tables_.layer_product(layer), want, /*outer=*/false, ctx,
                 /*thrown_index=*/nullptr);
@@ -802,7 +886,7 @@ private:
         const Clock::time_point start = Clock::now();
         ctx.ensure(spec_.layers.size(), g_.num_nodes());
         ctx.tally = Tally{};
-        if (compiled_ != nullptr && spec_.layers.size() == 1) {
+        if (packed_ && spec_.layers.size() == 1) {
             // Single-layer game: the outer layer IS the packed layer, so the
             // chunk is one packed range scan.
             std::uint64_t threw_at = out.begin;
@@ -1024,8 +1108,6 @@ private:
                 {"partial_leaf_evals",
                  static_cast<double>(stats.partial_leaf_evals)},
                 {"ball_runs", static_cast<double>(stats.ball_runs)},
-                {"partial_fallbacks",
-                 static_cast<double>(stats.partial_fallbacks)},
                 {"compiled_classes", static_cast<double>(stats.compiled_classes)},
                 {"compiled_solves", stats.compiled_classes > 0 ? 1.0 : 0.0},
             });
@@ -1046,7 +1128,6 @@ private:
             result.stats.packed_words_evaluated += ctx->packed_words;
             result.stats.partial_leaf_evals += ctx->partial_leaf_evals;
             result.stats.ball_runs += ctx->ball_runs;
-            result.stats.partial_fallbacks += ctx->partial_fallbacks;
         }
     }
 
@@ -1059,19 +1140,20 @@ private:
     /// the compile_ms this solve paid.
     const Clock::time_point start_ = Clock::now();
 
-    std::unique_ptr<ViewKeyBuilder> keys_;
+    /// The view-cache keys: the store's builder, or an own one on the
+    /// interpreted path; null when nothing is memoized.
+    const ViewKeyBuilder* keys_ = nullptr;
+    std::unique_ptr<ViewKeyBuilder> owned_keys_;
     std::unique_ptr<ViewCache> owned_cache_;
     ViewCache* cache_ = nullptr;
     ThreadPool* pool_used_ = nullptr;
 
-    // Partial-leaf state (GameOptions::partial_leaves).
-    bool partial_ = false;
-    std::mutex ball_mutex_;
-    std::unordered_map<NodeId, std::shared_ptr<const InducedBall>> balls_;
-
     // Compiled-backend state (null / empty on the interpreted path).
     const CompiledGameCore* compiled_ = nullptr;
     double compile_ms_paid_ = 0;
+    std::mutex ball_mutex_;
+    std::vector<std::unique_ptr<const InducedBall>> balls_; ///< per node
+    bool packed_ = false;       ///< the deepest layer is scanned 64-wide
     std::size_t deepest_ = 0;   ///< the packed layer (layers - 1)
     std::size_t low_count_ = 0; ///< nodes forming the low block
     std::uint64_t block_ = 1;   ///< leaves per block (>= 64 unless tiny)
@@ -1108,7 +1190,6 @@ obs::MetricList GameStats::to_metrics() const {
         {"packed_words_evaluated", static_cast<double>(packed_words_evaluated)},
         {"partial_leaf_evals", static_cast<double>(partial_leaf_evals)},
         {"ball_runs", static_cast<double>(ball_runs)},
-        {"partial_fallbacks", static_cast<double>(partial_fallbacks)},
     };
 }
 

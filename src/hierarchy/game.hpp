@@ -68,24 +68,20 @@ struct GameSpec {
     bool starts_existential = true;
 };
 
-/// Which leaf-evaluation core play_game uses.  Every backend produces
-/// bit-identical GameResults apart from stats: a node's verdict depends only
-/// on its radius-R view, which the view cache and the compiled class tables
-/// both key on.
+/// Which leaf-evaluation core play_game uses.  Both produce bit-identical
+/// GameResults apart from stats: a node's verdict depends only on its
+/// radius-R view, which the view cache and the per-ball store both key on.
 enum class GameBackend {
     /// Per-leaf whole-graph machine interpretation (with the view cache) —
-    /// the reference path.
+    /// the reference path of the differential checks.
     Interpreted,
-    /// Compiled per-view decision tables with 64-wide packed evaluation and
-    /// orbit sharing, built whenever the context is compilable; otherwise
-    /// (fault plans, byte caps, non-locally-unique ids, leaf-only games) the
-    /// solve runs Interpreted.
+    /// The lazily filled per-ball store (CompiledGameCore): a leaf reads
+    /// each node's verdict from its view class's table, fills what is
+    /// missing from the view cache, induced-ball runs or one full-graph run,
+    /// and fully known words are answered 64 leaves at a time.  Contexts the
+    /// view cache refuses (fault plans, byte caps, non-locally-unique ids)
+    /// and leaf-only games run Interpreted.
     Compiled,
-    /// Compiled when the profitability gate passes — the planned ball runs
-    /// of the compile are at most the exhaustive leaf space — and
-    /// Interpreted otherwise, so small short-circuiting solves keep the
-    /// interpreter's early exits.
-    Auto,
 };
 
 /// Per-layer, per-node certificate option tables, built once per
@@ -107,21 +103,18 @@ public:
     /// Number of leaf evaluations an exhaustive game would need (saturating).
     std::uint64_t tree_size() const;
 
-    /// The compiled decision-table core for this context, built on first use
-    /// and cached on the tables (the per-batch-flavor home: BatchContext
-    /// shares one GameTables across a micro-batch, so the whole batch pays
-    /// one compilation).  Returns nullptr when the context is not compilable
-    /// (see CompiledGameCore::compile).  A later call with execution options
-    /// whose verdict-relevant fields differ recompiles; when `built_now_ms`
-    /// is non-null it receives the compile time this call paid (0 on reuse).
-    /// `profitable_only` applies the profitability gate (GameBackend::Auto;
-    /// see CompiledGameCore::compile).  A declined gate is cached too, so a
-    /// batch pays the decision once.  Thread-safe.
+    /// The per-ball store for this context, classified on first use and
+    /// cached on the tables (the per-batch-flavor home: BatchContext shares
+    /// one GameTables across a micro-batch, so the whole batch fills one
+    /// store).  Returns nullptr when the context is not memoizable (see
+    /// CompiledGameCore::compile).  A later call with execution options whose
+    /// verdict-relevant fields differ reclassifies; when `built_now_ms` is
+    /// non-null it receives the compile time this call paid (0 on reuse).
+    /// Thread-safe.
     const CompiledGameCore* compiled(const GameSpec& spec, const LabeledGraph& g,
                                      const IdentifierAssignment& id,
                                      const ExecutionOptions& exec,
-                                     double* built_now_ms = nullptr,
-                                     bool profitable_only = false) const;
+                                     double* built_now_ms = nullptr) const;
 
 private:
     struct CompiledSlot; // defined in game.cpp (holds the slot mutex)
@@ -149,11 +142,12 @@ struct GameOptions {
     /// counters, fault records, witness); only GameResult::stats differs.
     unsigned threads = 0;
 
-    /// Memoize per-node run_local verdicts keyed by canonical r-ball views
-    /// (sound for the paper's deterministic machines; see DESIGN.md).  The
-    /// cache never changes verdicts or the deterministic counters, only the
-    /// perf stats.  Automatically disabled when the execution options carry
-    /// run-global couplings (fault plans, byte caps).
+    /// Memoize per-node verdicts keyed by canonical r-ball views (sound for
+    /// the paper's deterministic machines; see DESIGN.md): the view cache
+    /// and, under the Compiled backend, the per-ball store.  False turns
+    /// every memo off.  The memos never change verdicts or the deterministic
+    /// counters, only the perf stats.  Automatically disabled when the
+    /// execution options carry run-global couplings (fault plans, byte caps).
     bool memoize_views = true;
 
     /// Optional shared cache (e.g. across instances of the same machine);
@@ -161,23 +155,9 @@ struct GameOptions {
     ViewCache* view_cache = nullptr;
     std::size_t view_cache_entries = 1 << 20;
 
-    /// Leaf-evaluation core.  Interpreted is the default so engine-level
-    /// callers keep their exact perf-stat profile; the serving layer runs
-    /// Auto, the differential checks and the benches' speedup rows Compiled.
-    GameBackend backend = GameBackend::Interpreted;
-
-    /// Partial leaf recomputation for dynamic-graph serving (DESIGN.md
-    /// "Incremental serving").  When the context is cacheable, a leaf whose
-    /// view-cache probe misses on some nodes re-derives just those nodes'
-    /// verdicts by running the machine on their induced radius-R balls —
-    /// sound by the ball rule (dtm/view_cache.hpp: a clean completed ball
-    /// run reproduces the full-graph verdict) — and merges them with the
-    /// cached verdicts of the untouched region.
-    /// Any unclean or incomplete ball run falls back to the ordinary
-    /// full-graph leaf run, keeping the deterministic counters and fault
-    /// ordering bit-identical to a full solve.  Interpreted backend only
-    /// (the Compiled backend already evaluates per-ball).
-    bool partial_leaves = false;
+    /// Leaf-evaluation core.  Interpreted is the reference the
+    /// differential checks compare against.
+    GameBackend backend = GameBackend::Compiled;
 
     /// Optional observability session: when set, the solve accumulates its
     /// GameStats into the session's MetricsRegistry under the `game.` naming
@@ -192,8 +172,8 @@ struct GameOptions {
 /// deterministic across thread counts or cache settings.
 struct GameStats {
     std::uint64_t leaves_processed = 0; ///< leaf probes actually performed
-    std::uint64_t local_runs = 0;       ///< run_local invocations (cache misses)
-    std::uint64_t leaf_cache_hits = 0;  ///< leaves served fully from the cache
+    std::uint64_t local_runs = 0;       ///< full-graph run_local invocations
+    std::uint64_t leaf_cache_hits = 0;  ///< leaves served fully from the memos
     std::uint64_t node_cache_hits = 0;
     std::uint64_t node_cache_misses = 0;
     std::uint64_t cache_evictions = 0;
@@ -203,17 +183,17 @@ struct GameStats {
     std::uint64_t chunks = 1;
 
     // Compiled-backend counters (all zero on the interpreted path).
-    double compile_ms = 0;  ///< table compilation paid by THIS solve (0 on reuse)
+    double compile_ms = 0;  ///< store classification paid by THIS solve (0 on reuse)
     std::uint64_t orbit_hits = 0; ///< nodes served by another node's class table
     std::uint64_t compiled_classes = 0;
     /// 64-leaf pattern words ANDed during packed evaluation (per node, per
     /// word — the packed path's unit of work).
     std::uint64_t packed_words_evaluated = 0;
-
-    // Partial-leaf counters (all zero unless GameOptions::partial_leaves).
-    std::uint64_t partial_leaf_evals = 0; ///< leaves completed from ball runs
-    std::uint64_t ball_runs = 0;          ///< induced-ball run_local calls
-    std::uint64_t partial_fallbacks = 0;  ///< eligible leaves that ran fully
+    /// Leaves completed by induced-ball runs of their missing nodes, without
+    /// a full-graph run: leaves_processed = leaf_cache_hits + local_runs +
+    /// partial_leaf_evals.
+    std::uint64_t partial_leaf_evals = 0;
+    std::uint64_t ball_runs = 0; ///< induced-ball run_local calls
 
     double leaves_per_sec() const {
         return wall_ms > 0 ? 1000.0 * static_cast<double>(leaves_processed) / wall_ms

@@ -1,8 +1,10 @@
 #include "logic/eval.hpp"
 
 #include "core/check.hpp"
+#include "dtm/errors.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 namespace lph {
 
@@ -18,6 +20,9 @@ Element lookup(const Assignment& sigma, const std::string& var) {
     check(it != sigma.fo.end(), "evaluate: unassigned first-order variable " + var);
     return it->second;
 }
+
+/// Second-order assignments between two deadline checks.
+constexpr std::uint64_t kDeadlineCheckInterval = 4096;
 
 class Evaluator {
 public:
@@ -128,6 +133,7 @@ private:
 
         bool result = !existential;
         for (std::uint64_t mask = 0; mask < count; ++mask) {
+            check_deadline();
             RelationValue value(node.arity);
             for (std::size_t i = 0; i < universe.size(); ++i) {
                 if ((mask >> i) & 1) {
@@ -148,8 +154,33 @@ private:
         return result;
     }
 
+    /// Counts one second-order assignment and, every
+    /// kDeadlineCheckInterval of them, compares the clock with the policy's
+    /// deadline.
+    void check_deadline() {
+        if (policy_.deadline_ms <= 0 || ++assignments_ % kDeadlineCheckInterval != 0) {
+            return;
+        }
+        const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                      std::chrono::steady_clock::now() - start_)
+                                      .count();
+        if (elapsed_ms > policy_.deadline_ms) {
+            RunFault fault;
+            fault.code = RunError::DeadlineExceeded;
+            fault.fatal = true;
+            fault.detail = "wall-clock deadline of " +
+                           std::to_string(policy_.deadline_ms) +
+                           " ms exceeded after " + std::to_string(assignments_) +
+                           " second-order assignments";
+            throw run_error(std::move(fault));
+        }
+    }
+
     const Structure& s_;
     const SOPolicy& policy_;
+    const std::chrono::steady_clock::time_point start_ =
+        std::chrono::steady_clock::now();
+    std::uint64_t assignments_ = 0;
 };
 
 } // namespace

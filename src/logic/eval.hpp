@@ -58,6 +58,10 @@ struct SOPolicy {
     /// this many tuples throws precondition_error instead of running for
     /// astronomically long.
     std::size_t max_universe_size = 24;
+    /// Wall-clock budget of one evaluate()/satisfies() call in milliseconds;
+    /// 0 disables.  Checked every few thousand second-order assignments;
+    /// past it the call throws run_error(RunError::DeadlineExceeded).
+    double deadline_ms = 0;
 };
 
 /// Evaluates phi on S under sigma (Table 1 semantics).  All free variables of

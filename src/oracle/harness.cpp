@@ -315,8 +315,8 @@ compare_game_compiled_vs_interpreted(const ReproCase& r) {
     if (auto diff = diff_outcome("compiled(threads=1)", seq, "interpreted", itp)) {
         return diff;
     }
-    // When the context compiles, the orbit-multiplied game_tree_size must
-    // equal the interpreted per-node product bit for bit.
+    // When the context is memoizable, the orbit-multiplied game_tree_size
+    // must equal the interpreted per-node product bit for bit.
     const GameTables tables(built.spec, r.graph, id);
     if (const CompiledGameCore* core =
             tables.compiled(built.spec, r.graph, id, ExecutionOptions{})) {

@@ -300,7 +300,7 @@ ReproCase generate_patch_case(Rng& rng) {
                                       "coloring3"};
     r.params["machine"] = kMachines[rng.index(4)];
     // Mostly deciders (the retained-verdict fast path); some one-layer games
-    // (the engine's partial-leaf path).
+    // (the engine's per-ball store over the shared view cache).
     r.params["layers"] = rng.chance(0.3) ? "1" : "0";
     r.params["ids"] = rng.chance(0.5) ? "local" : "global";
     r.params["steps"] = std::to_string(rng.uniform(1, 5));
@@ -326,9 +326,8 @@ std::optional<std::string> compare_patch_vs_full(const ReproCase& r) {
     ServiceCore core(options);     // serves the incremental patch path
     ServiceCore reference(options); // full recompute on inline graphs
 
-    // The golden side re-solves from scratch on the interpreted backend (the
-    // backend the partial path uses); compiled-vs-interpreted parity is its
-    // own check.
+    // The golden side re-solves from scratch on the interpreted backend, the
+    // reference the patched side's store must match.
     Request golden_query;
     golden_query.type = RequestType::Game;
     golden_query.machine = machine;

@@ -68,6 +68,14 @@ void append_game_result(std::ostream& body, const GameResult& result) {
     }
 }
 
+/// The evaluator policy of a logic/eval request: the default enumeration
+/// under the request's remaining deadline (0 = none).
+SOPolicy so_policy(double deadline_ms) {
+    SOPolicy policy;
+    policy.deadline_ms = deadline_ms;
+    return policy;
+}
+
 /// The retention key of a layers-0 patch query: every field that can change
 /// the per-node outputs.
 std::string decider_flavor(const Request& request) {
@@ -601,9 +609,9 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
         GameOptions opt;
         opt.threads = 1; // the service parallelizes across requests
         opt.tolerate_faults = request.tolerate_faults;
-        opt.backend = request.backend == "interpreted"
-                          ? GameBackend::Interpreted
-                          : GameBackend::Auto;
+        if (request.backend == "interpreted") {
+            opt.backend = GameBackend::Interpreted;
+        }
         opt.obs = options_.obs;
         opt.exec.deadline_ms = deadline_ms;
         FaultPlan plan;
@@ -635,9 +643,10 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
         break;
     }
     case RequestType::Logic: {
+        LPH_SPAN("logic", "logic.eval");
         const Formula formula = formula_by_name(request.formula, request.fseed);
         const GraphStructure gs(request.graph);
-        const bool sat = satisfies(gs.structure(), formula);
+        const bool sat = satisfies(gs.structure(), formula, so_policy(deadline_ms));
         body << "\"satisfied\":" << (sat ? "true" : "false")
              << ",\"formula_size\":" << formula_size(formula)
              << ",\"cardinality\":" << gs.cardinality();
@@ -648,10 +657,12 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
         // the wire layer.  The SO-universe guard applies exactly as in the
         // logic case: an enumeration the evaluator refuses surfaces as a
         // structured InvalidRequest, never a hang.
+        LPH_SPAN("lang", "lang.eval");
         const GraphStructure gs(request.graph);
         const lang::FormulaAnalysis analysis =
             lang::analyze(request.eval_formula);
-        const bool sat = satisfies(gs.structure(), request.eval_formula);
+        const bool sat = satisfies(gs.structure(), request.eval_formula,
+                                   so_policy(deadline_ms));
         body << "\"satisfied\":" << (sat ? "true" : "false")
              << ",\"formula_size\":" << analysis.size << ",\"class\":\""
              << obs::json_escape(analysis.class_name()) << "\""
@@ -660,6 +671,7 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
         break;
     }
     case RequestType::Decide: {
+        LPH_SPAN("service", "decide");
         if (request.problem == "eulerian") {
             body << "\"answer\":"
                  << (is_eulerian(request.graph) ? "true" : "false");
@@ -689,6 +701,7 @@ std::string ServiceCore::execute(const Request& request, BatchContext& ctx,
         break;
     }
     case RequestType::OracleCheck: {
+        // run_check opens the oracle.check span.
         check(is_check_name(request.oracle_check),
               "unknown check '" + request.oracle_check + "'");
         const std::size_t instances =
@@ -771,35 +784,33 @@ std::string ServiceCore::execute_patch(const Request& request,
     // query again.
     outcome.graph.validate();
     body << ',';
-    backend = "interpreted";
     if (request.layers == 0) {
+        backend = "interpreted";
         body << evaluate_patch_decider(request, *game, outcome, deadline_ms);
         return body.str();
     }
 
-    // Layered query: the engine's partial-leaf path re-derives only the
-    // view-cache misses (the dirty balls) and merges with the cached
-    // verdicts of the untouched region; counters, fault ordering and the
-    // witness stay bit-identical to a full solve.
+    // Layered query: the per-ball store probes the shared view cache, so
+    // only the misses (the dirty balls) are re-derived, by induced-ball
+    // runs; counters, fault ordering and the witness stay bit-identical to
+    // a full solve.
     const IdentifierAssignment id =
         identifier_scheme_by_name(request.ids, outcome.graph, r_id);
     const GameTables tables(game->spec, outcome.graph, id);
     GameOptions opt;
     opt.threads = 1;
-    opt.backend = GameBackend::Interpreted; // partial leaves live here
     opt.obs = options_.obs;
     opt.exec.deadline_ms = deadline_ms;
     opt.view_cache = cache_for(request.machine);
     opt.view_cache_entries = options_.view_cache_entries;
-    opt.partial_leaves = true;
     const GameResult result =
         play_game(game->spec, tables, outcome.graph, id, opt);
+    backend = result.stats.compiled_classes > 0 ? "compiled" : "interpreted";
     if (!result.probe_faults.empty()) {
         throw run_error(result.probe_faults.front());
     }
-    if (result.stats.partial_fallbacks == 0 &&
-        (result.stats.partial_leaf_evals > 0 ||
-         result.stats.leaf_cache_hits > 0)) {
+    // Incremental: no leaf needed a full-graph run.
+    if (result.stats.local_runs == 0) {
         patch_incremental_.fetch_add(1, std::memory_order_relaxed);
     } else {
         patch_full_.fetch_add(1, std::memory_order_relaxed);

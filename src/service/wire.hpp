@@ -86,8 +86,8 @@ const char* to_string(PatchOp::Kind kind);
 /// "detail":"full" for the bucket-level registry snapshot.
 /// Game extras: "tolerate_faults", "fault_seed"/"fault_crash"/"fault_drop"/
 /// "fault_truncate"/"fault_corrupt" (a deterministic FaultPlan), and
-/// "backend": "compiled" (the default) lets the engine compile when its
-/// profitability gate passes (GameBackend::Auto), "interpreted" forces the
+/// "backend": "compiled" (the default) runs the engine's lazily filled
+/// per-ball store (GameBackend::Compiled), "interpreted" forces the
 /// reference interpreter.  Results are bit-identical either way, so the
 /// choice only matters for performance comparisons; the response's timing
 /// object reports which core actually ran.  Unknown fields are protocol
@@ -112,7 +112,8 @@ struct Request {
     double fault_drop = 0;
     double fault_truncate = 0;
     double fault_corrupt = 0;
-    /// Leaf-evaluation core: "compiled" (GameBackend::Auto) | "interpreted".
+    /// Leaf-evaluation core: "compiled" (GameBackend::Compiled) |
+    /// "interpreted".
     /// Not part of the memo key: both return bit-identical bodies.
     std::string backend = "compiled";
 

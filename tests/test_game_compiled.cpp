@@ -1,13 +1,14 @@
-// Compiled-core equivalence and orbit accounting: the Compiled backend
-// (per-view decision tables + 64-wide packed evaluation + orbit sharing)
-// must return bit-identical GameResults (verdict, deterministic counters,
-// fault records, witness) to the interpreted reference engine, on clean
-// games, faulting games, games that abort, and multi-layer alternation.
+// Per-ball store equivalence and orbit accounting: the Compiled backend
+// (lazily filled per-view tables + 64-wide packed evaluation + orbit
+// sharing) must return bit-identical GameResults (verdict, deterministic
+// counters, fault records, witness) to the interpreted reference engine, on
+// clean games, faulting games, games that abort, and multi-layer alternation.
 // Orbit counters must be exact: zero on asymmetric instances (globally
 // unique ids make every view class a singleton), positive on symmetric
 // cycles with periodic identifiers, with tree_size unchanged either way.
 
 #include "dtm/faults.hpp"
+#include "dtm/view_cache.hpp"
 #include "graph/generators.hpp"
 #include "graph/identifiers.hpp"
 #include "graphalg/coloring.hpp"
@@ -84,30 +85,28 @@ void expect_identical(const GameResult& reference, const GameResult& other,
     }
 }
 
-/// Runs the interpreted sequential reference against `backend` (Compiled by
-/// default) at 1 and 4 threads (same prebuilt tables, so one compilation
-/// serves both).
+/// Runs the uncached interpreted sequential reference against the default
+/// backend at 1 and 4 threads, each on fresh tables so both fill their own
+/// store.
 void expect_compiled_identical(const GameSpec& spec, const LabeledGraph& g,
                                const IdentifierAssignment& id,
-                               const GameOptions& base, const std::string& what,
-                               GameBackend backend = GameBackend::Compiled) {
-    const GameTables tables(spec, g, id);
+                               const GameOptions& base, const std::string& what) {
     GameOptions reference_options = base;
     reference_options.threads = 1;
     reference_options.memoize_views = false;
     reference_options.backend = GameBackend::Interpreted;
-    const GameResult reference = play_game(spec, tables, g, id, reference_options);
+    const GameResult reference = play_game(spec, g, id, reference_options);
     for (const unsigned threads : {1u, 4u}) {
         GameOptions options = base;
         options.threads = threads;
-        options.backend = backend;
-        const GameResult result = play_game(spec, tables, g, id, options);
+        const GameResult result = play_game(spec, g, id, options);
         expect_identical(reference, result,
                          what + " threads=" + std::to_string(threads));
         // The leaves-vs-sources identity the stats promise holds on the
         // packed path too (table-served leaves count as cache hits).
         EXPECT_EQ(result.stats.leaves_processed,
-                  result.stats.leaf_cache_hits + result.stats.local_runs)
+                  result.stats.leaf_cache_hits + result.stats.local_runs +
+                      result.stats.partial_leaf_evals)
             << what;
     }
 }
@@ -140,8 +139,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CompiledSeeds, ::testing::Range(0u, 8u));
 
 TEST(CompiledGame, PackedBlockWiderThanAWordExhaustsExactly) {
     // 2^11 leaves >= the 64-leaf low block: a no-instance forces the packed
-    // scan over the full space, and (coloring runs are always clean) every
-    // leaf must be served from the tables.
+    // scan over the full space.  The first solve's machine runs stay within
+    // the table entries; once filled (coloring runs are always clean) every
+    // leaf is served from the tables.
     const LabeledGraph g = cycle_graph(11, "1");
     const auto id = make_global_ids(g);
     const ColoringVerifier verifier(2);
@@ -151,10 +151,17 @@ TEST(CompiledGame, PackedBlockWiderThanAWordExhaustsExactly) {
     spec.layers = {&domain};
     expect_compiled_identical(spec, g, id, GameOptions{}, "odd cycle 11");
 
+    const GameTables tables(spec, g, id);
     GameOptions compiled;
     compiled.threads = 1;
-    compiled.backend = GameBackend::Compiled;
-    const GameResult result = play_game(spec, g, id, compiled);
+    const GameResult first = play_game(spec, tables, g, id, compiled);
+    EXPECT_FALSE(first.accepted);
+    const CompiledGameCore* core =
+        tables.compiled(spec, g, id, ExecutionOptions{});
+    ASSERT_NE(core, nullptr);
+    EXPECT_LE(first.stats.local_runs + first.stats.ball_runs,
+              core->table_entries());
+    const GameResult result = play_game(spec, tables, g, id, compiled);
     EXPECT_FALSE(result.accepted);
     EXPECT_EQ(result.machine_runs, std::uint64_t{1} << 11);
     EXPECT_EQ(result.stats.leaf_cache_hits, std::uint64_t{1} << 11);
@@ -240,35 +247,75 @@ TEST(CompiledGame, FaultPlanDisablesCompilationButNotCorrectness) {
     EXPECT_EQ(result.stats.packed_words_evaluated, 0u);
 }
 
-TEST(CompiledGame, AutoDeclinesUnprofitableCompiles) {
-    // On a 5-cycle the whole graph sits inside every R-ball, so compilation
-    // costs 5 x 2^5 ball runs against a 2^5-leaf solve: Auto's gate must
-    // decline (falling back to the interpreter with identical results) while
-    // Compiled still compiles.
-    const LabeledGraph g = cycle_graph(5, "1");
+TEST(CompiledGame, LazyFillPaysOnlyForVisitedEntries) {
+    // 3-colouring the 6- and 7-cycles are yes-instances the solve leaves
+    // early: the store fills only the entries the visited leaves need, so
+    // its machine work (full-graph plus ball runs) stays below the table
+    // entries an eager fill would have run.
+    for (const std::size_t n : {6u, 7u}) {
+        const LabeledGraph g = cycle_graph(n, "1");
+        const auto id = make_global_ids(g);
+        const ColoringVerifier verifier(3);
+        const ColorDomain domain(verifier);
+        GameSpec spec;
+        spec.machine = &verifier;
+        spec.layers = {&domain};
+        spec.starts_existential = true;
+        const std::string what = "3-colouring the " + std::to_string(n) + "-cycle";
+        expect_compiled_identical(spec, g, id, GameOptions{}, what);
+
+        const GameTables tables(spec, g, id);
+        GameOptions options;
+        options.threads = 1;
+        const GameResult result = play_game(spec, tables, g, id, options);
+        const CompiledGameCore* core =
+            tables.compiled(spec, g, id, ExecutionOptions{});
+        ASSERT_NE(core, nullptr) << what;
+        EXPECT_TRUE(result.accepted) << what;
+        EXPECT_EQ(result.stats.compiled_classes, n) << what;
+        EXPECT_LT(result.stats.local_runs + result.stats.ball_runs,
+                  core->table_entries())
+            << what;
+    }
+}
+
+TEST(CompiledGame, OverBudgetClassesMemoizeThroughTheViewCache) {
+    // On an 8-node wheel every node, the hub included, lies within the
+    // coloring verifier's cert radius 2 of every other: 3^8 configurations
+    // per class, past the per-class table budget, so no class gets a table.
+    // The odd rim makes 3-colouring a no-instance, so the reference plays
+    // all 3^8 leaves, finds no witness and faults nowhere; a re-solve on the
+    // same tables then serves every verdict from the shared view cache with
+    // no machine run.
+    const LabeledGraph g = wheel_graph(8, "1");
+    const NodeId hub = 7;
     const auto id = make_global_ids(g);
-    const ColoringVerifier verifier(2);
+    const ColoringVerifier verifier(3);
     const ColorDomain domain(verifier);
     GameSpec spec;
     spec.machine = &verifier;
     spec.layers = {&domain};
     spec.starts_existential = true;
+    GameResult reference;
+    reference.accepted = false;
+    reference.machine_runs = 6561;
 
-    expect_compiled_identical(spec, g, id, GameOptions{}, "Auto 5-cycle",
-                              GameBackend::Auto);
-
-    GameOptions automatic;
-    automatic.backend = GameBackend::Auto;
-    const GameResult declined = play_game(spec, g, id, automatic);
-    EXPECT_EQ(declined.stats.compiled_classes, 0u);
-    EXPECT_EQ(declined.stats.packed_words_evaluated, 0u);
-
-    GameOptions compiled;
-    compiled.backend = GameBackend::Compiled;
-    const GameResult eager = play_game(spec, g, id, compiled);
-    EXPECT_EQ(eager.stats.compiled_classes, 5u);
-    EXPECT_EQ(eager.accepted, declined.accepted);
-    EXPECT_EQ(eager.machine_runs, declined.machine_runs);
+    const GameTables tables(spec, g, id);
+    ViewCache shared;
+    GameOptions options;
+    options.view_cache = &shared;
+    const GameResult first = play_game(spec, tables, g, id, options);
+    const GameResult again = play_game(spec, tables, g, id, options);
+    const CompiledGameCore* core =
+        tables.compiled(spec, g, id, ExecutionOptions{});
+    ASSERT_NE(core, nullptr);
+    EXPECT_FALSE(core->classes()[core->nodes()[hub].cls].dense);
+    expect_identical(reference, first, "first solve");
+    expect_identical(reference, again, "re-solve");
+    EXPECT_EQ(again.stats.local_runs, 0u);
+    EXPECT_LT(again.stats.local_runs, again.machine_runs);
+    EXPECT_GE(again.stats.node_cache_hits, again.machine_runs);
+    EXPECT_EQ(shared.stats().verdict_mismatches, 0u);
 }
 
 TEST(CompiledGame, MultiLayerGamesPackTheDeepestLayer) {
@@ -334,7 +381,6 @@ TEST(CompiledGame, PeriodicIdsShareOrbitsWithExactTreeSize) {
     EXPECT_EQ(core->classes().size(), 7u);
     EXPECT_EQ(core->orbit_hits(), 7u);
     EXPECT_EQ(core->tree_size(), tables.tree_size());
-    EXPECT_TRUE(core->fully_known());
 
     // And the shared tables drive a bit-identical solve.
     expect_compiled_identical(spec, g, id, GameOptions{}, "cyclic ids");
@@ -346,9 +392,9 @@ TEST(CompiledGame, PeriodicIdsShareOrbitsWithExactTreeSize) {
     EXPECT_EQ(result.stats.compiled_classes, 7u);
 }
 
-TEST(CompiledGame, TablesCacheCompilationAcrossSolves) {
-    // The first Compiled solve on a GameTables pays the compilation; later
-    // solves (any thread count) reuse it and report compile_ms == 0.
+TEST(CompiledGame, TablesCacheTheStoreAcrossSolves) {
+    // The first solve on a GameTables classifies and fills the store; later
+    // solves reuse it, report compile_ms == 0 and run no machine.
     const LabeledGraph g = cycle_graph(9, "1");
     const auto id = make_global_ids(g);
     const ColoringVerifier verifier(2);
@@ -364,7 +410,8 @@ TEST(CompiledGame, TablesCacheCompilationAcrossSolves) {
     EXPECT_GT(first.stats.compile_ms, 0.0);
     const GameResult second = play_game(spec, tables, g, id, compiled);
     EXPECT_EQ(second.stats.compile_ms, 0.0);
-    expect_identical(first, second, "cached compilation");
+    EXPECT_EQ(second.stats.local_runs + second.stats.ball_runs, 0u);
+    expect_identical(first, second, "cached store");
 }
 
 TEST(CompiledGame, ColdSolveWallTimeIncludesItsCompile) {

@@ -1,4 +1,5 @@
 #include "core/check.hpp"
+#include "dtm/errors.hpp"
 #include "graph/generators.hpp"
 #include "logic/eval.hpp"
 #include "logic/examples.hpp"
@@ -99,6 +100,24 @@ TEST(Eval, UniverseGuardThrows) {
     policy.max_universe_size = 8;
     const Formula phi = exists_so("X", 1, top());
     EXPECT_THROW(satisfies(s, phi, policy), precondition_error);
+}
+
+TEST(Eval, DeadlineStopsTheEnumeration) {
+    // 2-colourability of an 11-cycle enumerates 2^11 sets per colour class;
+    // a 1 ms budget must end it with the runners' DeadlineExceeded error.
+    const GraphStructure gs(cycle_graph(11, "1"));
+    SOPolicy policy;
+    policy.deadline_ms = 1;
+    try {
+        satisfies(gs.structure(), paper_formulas::two_colorable(), policy);
+        FAIL() << "expected DeadlineExceeded";
+    } catch (const run_error& e) {
+        EXPECT_EQ(e.code(), RunError::DeadlineExceeded);
+    }
+    // A budget the evaluation fits in changes nothing.
+    const GraphStructure small(cycle_graph(4, "1"));
+    policy.deadline_ms = 60000;
+    EXPECT_TRUE(satisfies(small.structure(), paper_formulas::two_colorable(), policy));
 }
 
 TEST(Eval, TupleUniverseSizes) {

@@ -325,9 +325,12 @@ TEST(ParallelGame, StatsDescribeTheWork) {
     EXPECT_EQ(seq.stats.leaf_cache_hits, 0u);
     EXPECT_EQ(seq.stats.workers, 1u);
 
+    // The view cache's own counters: the interpreted path memoizes there
+    // alone (the default store answers most probes from its tables).
     GameOptions memoized;
     memoized.threads = 4;
     memoized.memoize_views = true;
+    memoized.backend = GameBackend::Interpreted;
     const GameResult par = play_game(spec, g, id, memoized);
     EXPECT_EQ(par.stats.leaves_processed,
               par.stats.leaf_cache_hits + par.stats.local_runs);

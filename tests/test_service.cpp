@@ -51,8 +51,7 @@ std::string cycle6_payload() {
            "edge 5 0\\n";
 }
 
-/// With n >= 11 (2^11 leaves vs ~350 compile-time ball runs) the engine's
-/// profitability gate chooses the compiled tables for coloring2.
+/// An n-cycle graph payload (escaped for a wire line).
 std::string cycle_payload(int n) {
     std::string payload = "graph " + std::to_string(n);
     for (int v = 0; v < n; ++v) {
@@ -432,6 +431,27 @@ TEST(ServiceCore, MemoServesRepeatedRequestsAndReportsGauges) {
     EXPECT_TRUE(snapshot.count("service.cache.hits"));
 }
 
+TEST(ServiceCore, FormulaRequestsHonourTheirDeadline) {
+    // Without a deadline check, two_colorable on an 11-cycle runs for
+    // seconds.  With "deadline_ms":50 both formula executors stop with
+    // DeadlineExceeded, and the error body is never memoized.
+    ServiceCore core(manual_options());
+    const std::string graph = ",\"graph\":\"" + cycle_payload(11) + "\"}";
+    for (const std::string& head :
+         {std::string("{\"type\":\"logic\",\"formula\":\"two_colorable\""),
+          std::string("{\"type\":\"eval\",\"formula\":"
+                      "\"EXISTS X/1. EXISTS Y/1. F\"")}) {
+        const Request request =
+            parse_request(head + ",\"deadline_ms\":50" + graph, 1, WireLimits{});
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            const Response response = core.call(request);
+            EXPECT_EQ(response.status, "error") << head;
+            EXPECT_EQ(response.error, "DeadlineExceeded") << head;
+            EXPECT_FALSE(response.memo_hit) << head;
+        }
+    }
+}
+
 TEST(ServiceCore, BackendsAgreeOnTheWireAndShareTheMemo) {
     obs::Session session;
     ServiceOptions options = manual_options();
@@ -451,8 +471,8 @@ TEST(ServiceCore, BackendsAgreeOnTheWireAndShareTheMemo) {
     EXPECT_TRUE(compiled.memo_hit); // backend is not part of the memo key
     EXPECT_EQ(compiled.body, interpreted.body); // bit-identical results
 
-    // On a fresh graph the default request reaches the engine, which
-    // compiles (the gate passes), and its counters reach the registry.
+    // On a fresh graph the default request reaches the engine, which runs
+    // the per-ball store, and its counters reach the registry.
     const Response fresh = core.call(game(13, ""));
     ASSERT_EQ(fresh.status, "ok");
     EXPECT_FALSE(fresh.memo_hit);
@@ -1116,7 +1136,7 @@ TEST(ServiceCore, TimingReportsTheBackendThatRan) {
     // A layers-0 game has nothing to compile.
     EXPECT_EQ(core.call(game("eulerian", 0, cycle6_payload())).timing.backend,
               "interpreted");
-    // A layered solve past the gate runs the compiled tables.
+    // A layered solve runs the per-ball store.
     EXPECT_EQ(core.call(game("coloring2", 1, cycle_payload(11))).timing.backend,
               "compiled");
     // A memo hit ran no engine: the field is omitted.
@@ -1125,11 +1145,14 @@ TEST(ServiceCore, TimingReportsTheBackendThatRan) {
     EXPECT_EQ(hit.timing.backend, "");
     EXPECT_EQ(hit.to_json().find("\"backend\""), std::string::npos);
 
-    // Patch queries run the interpreter (decider or partial leaves).
+    // A layers-0 patch query runs the retained-verdict decider, a layered
+    // one the store.
     LabeledGraph mirror = cycle_graph(8, "1");
     std::uint64_t digest = register_resident(core, mirror);
-    for (const std::string query : {",\"machine\":\"eulerian\",\"layers\":0",
-                                    ",\"machine\":\"coloring2\",\"layers\":1"}) {
+    for (const auto& [query, ran] :
+         {std::pair<std::string, std::string>{
+              ",\"machine\":\"eulerian\",\"layers\":0", "interpreted"},
+          {",\"machine\":\"coloring2\",\"layers\":1", "compiled"}}) {
         mirror.set_label(0, mirror.label(0) == "1" ? "0" : "1");
         const Response patched = core.call(patch_request(
             digest,
@@ -1137,7 +1160,7 @@ TEST(ServiceCore, TimingReportsTheBackendThatRan) {
                 "\"}",
             query));
         ASSERT_EQ(patched.status, "ok") << patched.detail;
-        EXPECT_EQ(patched.timing.backend, "interpreted") << query;
+        EXPECT_EQ(patched.timing.backend, ran) << query;
         digest = fnv1a64(graph_to_text(mirror));
     }
 }
@@ -1213,13 +1236,13 @@ TEST(ServiceCore, PatchSequenceMatchesFullRecomputeAndGoesIncremental) {
 }
 
 TEST(EnginePartialLeaves, MatchesFullSolveBitIdentically) {
-    // The engine boundary of incremental serving: partial_leaves against a
-    // shared cache warmed by the pre-patch graph,
-    // must reproduce the verdict AND the deterministic counters of a fresh
-    // full solve on the patched graph.
+    // The engine boundary of incremental serving: the default backend's
+    // store, probing a shared cache warmed by the pre-patch graph, must
+    // reproduce the verdict AND the deterministic counters of a fresh
+    // uncached solve on the patched graph.
     // allsel gathers at radius 0 (round bound 1), so a relabel dirties only
-    // the node itself and its radius-1 ball stays far below the
-    // whole-graph cost — the profitability gate keeps the partial path.
+    // the node itself and its radius-1 ball stays far below the whole-graph
+    // cost: the missing verdicts come from ball runs.
     const BuiltGame game = build_game("allsel", 1, true);
     const LabeledGraph before = cycle_graph(8, "1");
     LabeledGraph after = before;
@@ -1249,21 +1272,21 @@ TEST(EnginePartialLeaves, MatchesFullSolveBitIdentically) {
     GameOptions partial;
     partial.threads = 1;
     partial.view_cache = &shared;
-    partial.partial_leaves = true;
     const GameResult incremental = play_game(game.spec, after, id, partial);
 
     GameOptions fresh;
     fresh.threads = 1;
+    fresh.memoize_views = false;
     const GameResult full = play_game(game.spec, after, id, fresh);
 
     EXPECT_EQ(incremental.accepted, full.accepted);
     EXPECT_EQ(incremental.machine_runs, full.machine_runs);
     EXPECT_EQ(incremental.faulted_runs, full.faulted_runs);
     EXPECT_EQ(incremental.witness.has_value(), full.witness.has_value());
-    // The incremental solve actually took the partial path: ball runs for
-    // the dirty region, no full-graph fallbacks.
+    // The incremental solve actually took the ball path: ball runs for the
+    // dirty region, no full-graph run.
     EXPECT_GT(incremental.stats.ball_runs, 0u);
-    EXPECT_EQ(incremental.stats.partial_fallbacks, 0u);
+    EXPECT_EQ(incremental.stats.local_runs, 0u);
     EXPECT_GT(incremental.stats.partial_leaf_evals +
                   incremental.stats.leaf_cache_hits,
               0u);

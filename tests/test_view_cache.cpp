@@ -468,7 +468,9 @@ TEST(CacheSoundness, ResolveUnderADeadlineHitsTheSharedCache) {
 
 TEST(CacheSoundness, TinyCacheThrashesButStaysCorrect) {
     // An adversarially small cache forces constant eviction; correctness
-    // must not depend on residency.
+    // must not depend on residency.  The interpreted path memoizes in the
+    // private cache alone (the default store keeps it for table-less
+    // classes only).
     const ColoringVerifier verifier(2);
     const ColorDomain domain(verifier);
     const LabeledGraph g = cycle_graph(9, "1");
@@ -476,6 +478,7 @@ TEST(CacheSoundness, TinyCacheThrashesButStaysCorrect) {
 
     GameOptions tiny;
     tiny.view_cache_entries = 1; // one entry per shard
+    tiny.backend = GameBackend::Interpreted;
     GameOptions off;
     off.memoize_views = false;
     const GameResult thrashed =
